@@ -133,6 +133,13 @@ def group_pms(due: list[tuple[int, float]], machines: dict[int, MachineParams],
     return groups
 
 
+def lifecycle_stats_defined(n_c: int, t_c: float, c_c: float) -> bool:
+    """Can the suspension screen judge this life cycle?  It needs at
+    least one completed job, some busy time and some maintenance spend
+    (right after a repair the spend is zero)."""
+    return not (n_c <= 0 or t_c <= 0 or c_c <= 0)
+
+
 def pm_suspension_check(n_gain: int, n_c: int, t_c: float, c_c: float,
                         t_pm_full: float, c_pm_full: float) -> bool:
     """Screen a candidate preventive action against its projected payoff.
@@ -142,7 +149,7 @@ def pm_suspension_check(n_gain: int, n_c: int, t_c: float, c_c: float,
     gain undercuts both the relative time and the relative cost of the
     action itself.
     """
-    if n_c <= 0 or t_c <= 0 or c_c <= 0:
+    if not lifecycle_stats_defined(n_c, t_c, c_c):
         raise UndefinedLifecycleStats(
             f"life cycle stats not usable yet: n={n_c} t={t_c} c={c_c}")
     threshold = min(t_pm_full / t_c, c_pm_full / c_c)

@@ -100,6 +100,7 @@ class ProblemInstance:
 
     def __post_init__(self):
         self._by_id = {m.id: m for m in self.machines}
+        self._caps: dict[int, list[int]] = {}
         if not self.idle_nominal:
             self.idle_nominal = _mean_nominals(self.jobs)
 
@@ -111,12 +112,16 @@ class ProblemInstance:
         return self._by_id[machine_id]
 
     def capable_machines(self, job_type: int) -> list[int]:
-        """Machine ids that can run the given type, ascending."""
-        out: set[int] = set()
-        for j in self.jobs:
-            if j.type == job_type:
-                out.update(j.nominal_times)
-        return sorted(out)
+        """Machine ids that can run the given type, ascending (a fresh
+        list; the scan over the jobs runs once per type)."""
+        caps = self._caps.get(job_type)
+        if caps is None:
+            out: set[int] = set()
+            for j in self.jobs:
+                if j.type == job_type:
+                    out.update(j.nominal_times)
+            caps = self._caps[job_type] = sorted(out)
+        return list(caps)
 
     def job_types(self) -> list[int]:
         return sorted({j.type for j in self.jobs})

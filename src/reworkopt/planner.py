@@ -71,7 +71,7 @@ def label_static_obj(inst: ProblemInstance, chrom: Chromosome,
     for r in range(cfg.label_reps):
         tr = simulate(inst, plan, master.substream(NS_LABEL, r),
                       SimConfig(mode=STATIC, det=cfg.det, prop2=cfg.prop2,
-                                counter=cfg.counter))
+                                counter=cfg.counter, summary=True))
         total += fitness_static(tr)
         mk += tr.makespan
         mc += tr.maint_cost

@@ -10,9 +10,12 @@ extension stable: adding replication 7 never perturbs replications 0-6.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import _kernel
 
 _M64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
 _SEED_SALT = 0x5851F42D4C957F2D
 
 # substream namespaces (first id on the derivation path)
@@ -25,6 +28,13 @@ NS_ONLINE = 6     # online execution runs
 NS_RESCHED = 7    # rescheduling candidate evaluations
 NS_SEARCH = 8     # evolutionary operator randomness
 NS_INIT = 9       # population / instance initialisation
+
+
+@lru_cache(maxsize=1 << 16)
+def _id_hash(i: int) -> int:
+    """Hash of one id on a derivation path; it does not depend on the
+    key, so it is computed once per id."""
+    return _kernel.mix64((i + 1) * _GOLDEN & _M64)
 
 
 class RngStream:
@@ -47,8 +57,12 @@ class RngStream:
         """
         k = self.key
         for i in ids:
-            k = _kernel.mix64((k ^ _kernel.mix64((i + 1) * 0x9E3779B97F4A7C15 & _M64)) & _M64)
+            k = _kernel.mix64((k ^ _id_hash(i)) & _M64)
         return RngStream(k)
+
+    def subkey(self, i: int) -> int:
+        """Key of substream(i), without building the stream."""
+        return _kernel.mix64((self.key ^ _id_hash(i)) & _M64)
 
     def clone(self) -> "RngStream":
         return RngStream(self.key, self.ctr)

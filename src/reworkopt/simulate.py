@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 
 from . import _kernel
 from .encoding import Chromosome, SchedulePlan, decode, planned_starts
-from .maintenance import (MachineState, MaintenanceEvent,
-                          UndefinedLifecycleStats, cm_required,
+from .maintenance import (MachineState, MaintenanceEvent, cm_required,
                           corrective_maintenance, group_pms, imperfect_pm,
-                          pm_due, pm_suspension_check)
+                          lifecycle_stats_defined, pm_due,
+                          pm_suspension_check)
 from .model import Job, ObjectivePair, ProblemInstance
 from .rng import NS_ENV, NS_JOB, NS_PILOT, NS_PROP2, NS_RESCHED, RngStream
 
@@ -38,15 +38,21 @@ ONLINE = "online"
 
 
 class _Ent:
-    """Runtime slot entry: a real job, a rework copy, or an idle space."""
+    """Runtime slot entry: a real job, a rework copy, or an idle space.
 
-    __slots__ = ("eid", "slot", "job", "idle_type")
+    release is the earliest time the entry may start: a pinned start of
+    the plan, or the trigger time of a rework copy (a copy exists only
+    once its origin has finished)."""
 
-    def __init__(self, eid: int, slot: int, job: Job | None, idle_type: int | None):
+    __slots__ = ("eid", "slot", "job", "idle_type", "release")
+
+    def __init__(self, eid: int, slot: int, job: Job | None, idle_type: int | None,
+                 release: float = 0.0):
         self.eid = eid
         self.slot = slot
         self.job = job
         self.idle_type = idle_type
+        self.release = release
 
     @property
     def is_idle(self) -> bool:
@@ -168,18 +174,21 @@ class SimConfig:
     prop2: bool = True
     rescheduler: "object" = None             # callable(ctx) -> (queues, f_r)
     counter: list | None = None              # shared invocation counter
+    summary: bool = False                    # internal: no per-event records
 
 
 def _entities_from_plan(plan: SchedulePlan, inst: ProblemInstance) -> dict[int, list[_Ent]]:
     n = inst.n_jobs
+    starts = plan.starts or {}
     queues: dict[int, list[_Ent]] = {}
     for mid, slots in plan.order.items():
         row = []
         for s in slots:
             if s < n:
-                row.append(_Ent(s, s, inst.jobs[s], None))
+                row.append(_Ent(s, s, inst.jobs[s], None, starts.get(s, 0.0)))
             else:
-                row.append(_Ent(s, s, None, plan.chrom.idle_types[s - n]))
+                row.append(_Ent(s, s, None, plan.chrom.idle_types[s - n],
+                                starts.get(s, 0.0)))
         queues[mid] = row
     return queues
 
@@ -191,29 +200,42 @@ class _Sim:
                  states: dict[int, MachineState], chrom: Chromosome,
                  root: RngStream, det: bool, prop2: bool,
                  skip_idle: bool, rework: bool,
-                 rescheduler=None, starts: dict[int, float] | None = None,
+                 rescheduler=None,
                  baseline_starts: dict[int, float] | None = None,
                  eid_base: int = 0, copy_id_base: int = 0,
-                 round_base: int = 0, counter: list | None = None):
+                 round_base: int = 0, counter: list | None = None,
+                 summary: bool = False):
         self.inst = inst
         self.queues = queues
         self.ptr = {mid: 0 for mid in queues}
         self.states = states
         self.chrom = chrom
         self.root = root
-        self.det = det
+        self.det = 1 if det else 0
         self.prop2 = prop2
         self.skip_idle = skip_idle
         self.rework = rework
+        self.summary = summary
         self.rescheduler = rescheduler
-        self.starts = starts
         self.baseline_starts = baseline_starts or {}
         self.env = {mid: root.substream(NS_ENV, mid) for mid in queues}
+        self.jobs = root.substream(NS_JOB)    # entity eid draws from jobs.subkey(eid)
+        # kernel arguments that stay fixed along the run
+        g = inst.globals
+        self.machine_args = {
+            m.id: (g.eta, m.alpha, m.beta, m.mu_minus, m.sigma_minus,
+                   m.mu_plus, m.sigma_plus, m.ups0, m.a, m.b0, m.gamma)
+            for m in inst.machines}
+        self.type_args = {
+            t: (q.target, q.tol, q.mu_q, q.sigma_q, q.lo, q.hi, g.noise_sigma)
+            for t, q in inst.quality.items()}
         self.job_events: list[JobEvent] = []
         self.idle_events: list[IdleEvent] = []
         self.maint_events: list[MaintenanceEvent] = []
         self.resched_points: list[ReschedulePoint] = []
-        self.heap: list = []
+        self.end = -math.inf        # latest job completion
+        self.q_count = 0
+        self.heap: list = []        # quality outcomes by completion; rework only
         self.seq = 0
         self.window_total = 0
         self.window_nc = 0
@@ -230,19 +252,6 @@ class _Sim:
 
     # -- helpers -------------------------------------------------------
 
-    def _effective_start(self, mid: int) -> float:
-        st = self.states[mid]
-        t = st.ready
-        if self.starts is not None:
-            ent = self.queues[mid][self.ptr[mid]]
-            ps = self.starts.get(ent.slot)
-            if ps is not None and ps > t:
-                t = ps
-        return t
-
-    def _active(self) -> list[int]:
-        return [mid for mid in self.queues if self.ptr[mid] < len(self.queues[mid])]
-
     def _drain(self, upto: float) -> None:
         while self.heap and self.heap[0][0] <= upto:
             ct, _, _, ent, q = heapq.heappop(self.heap)
@@ -253,7 +262,7 @@ class _Sim:
                 if job.origin is None and job.id not in self.copied:
                     self.copied.add(job.id)
                     self.window_copy_jobs.append(job)
-            if (self.rework and self.window_nc >= 1 and self.window_copy_jobs
+            if (self.window_nc >= 1 and self.window_copy_jobs
                     and self.window_nc / self.window_total >= self.chrom.thr_r):
                 self.pending_trigger = ct
                 return
@@ -271,30 +280,34 @@ class _Sim:
 
     def _suspend_if_unprofitable(self, mid: int) -> bool:
         """Run the payoff screen; returns True if the machine got
-        suspended (preventive action skipped)."""
+        suspended (preventive action skipped).  A life cycle the screen
+        cannot judge yet is not projected at all, but still uses up its
+        projection stream, so later screens draw what they always drew."""
         st = self.states[mid]
         mp = self.inst.machine(mid)
-        try:
-            gain = self._project_gain(mid)
-            if pm_suspension_check(gain, st.cyc_jobs, st.cyc_busy, st.cyc_cost,
-                                   mp.t_pm_full, mp.c_pm_full):
-                st.suspended = True
-                return True
-        except UndefinedLifecycleStats:
-            pass
+        self.prop2_checks[mid] += 1
+        if not lifecycle_stats_defined(st.cyc_jobs, st.cyc_busy, st.cyc_cost):
+            return False
+        gain = self._project_gain(mid, self.prop2_checks[mid])
+        if pm_suspension_check(gain, st.cyc_jobs, st.cyc_busy, st.cyc_cost,
+                               mp.t_pm_full, mp.c_pm_full):
+            st.suspended = True
+            return True
         return False
 
-    def _project_gain(self, mid: int) -> int:
+    def _project_gain(self, mid: int, check: int) -> int:
         """Projected extra jobs this life cycle if we PM now vs. not,
         paired mini-runs over the machine's remaining real slots."""
+        job_step = _kernel.job_step
         st = self.states[mid]
         mp = self.inst.machine(mid)
         g = self.inst.globals
-        self.prop2_checks[mid] += 1
-        base = self.root.substream(NS_PROP2, mid, self.prop2_checks[mid])
+        margs = self.machine_args[mid]
+        base = self.root.substream(NS_PROP2, mid, check)
         jkey = base.substream(1).key
         ekey = base.substream(2).key
-        remaining = [e for e in self.queues[mid][self.ptr[mid]:] if not e.is_idle]
+        remaining = [e.job for e in self.queues[mid][self.ptr[mid]:]
+                     if e.job is not None]
         out = []
         for do_pm in (True, False):
             w, npm = st.w, st.n_pm
@@ -306,18 +319,13 @@ class _Sim:
                 maint_acc += mp.t_pm_full
             jctr = ectr = 0
             count = 0
-            for ent in remaining:
-                spec = self.inst.quality[ent.job.type]
+            for job in remaining:
                 dt = (t - last_start) - maint_acc
                 if dt < 0.0:
                     dt = 0.0
-                o = ent.job.nominal_times[mid]
-                (p, _, _, _, _, _, _, _, w, jctr, ectr) = _kernel.job_step(
-                    jkey, jctr, ekey, ectr, 1 if self.det else 0, 0, w, dt, o,
-                    g.eta, mp.alpha, mp.beta, mp.mu_minus, mp.sigma_minus,
-                    mp.mu_plus, mp.sigma_plus, mp.ups0, mp.a, mp.b0, mp.gamma,
-                    spec.target, spec.tol, spec.mu_q, spec.sigma_q,
-                    spec.lo, spec.hi, g.noise_sigma)
+                (p, _, _, _, _, _, _, _, w, jctr, ectr) = job_step(
+                    jkey, jctr, ekey, ectr, self.det, 0, w, dt,
+                    job.nominal_times[mid], *margs, *self.type_args[job.type])
                 last_start = t
                 maint_acc = 0.0
                 t += p
@@ -328,19 +336,15 @@ class _Sim:
         return out[0] - out[1]
 
     def _try_pm(self, mid: int, t: float) -> bool:
-        """Threshold check, screening, grouping.  Returns True if any
-        preventive action was performed (frontiers moved)."""
-        st = self.states[mid]
-        mp = self.inst.machine(mid)
+        """Screening and grouping of a due preventive action.  Returns
+        True if any preventive action was performed (frontiers moved)."""
         g = self.inst.globals
-        if not pm_due(st, self.chrom.zeta, self.chrom.n_u, mp):
-            return False
         if self.prop2 and self._suspend_if_unprofitable(mid):
             return False
         window = self.chrom.psi * max(m.t_pm_full for m in self.inst.machines)
         due = [(mid, t)]
-        for mid2 in self._active():
-            if mid2 == mid:
+        for mid2, row in self.queues.items():
+            if mid2 == mid or self.ptr[mid2] >= len(row):
                 continue
             st2 = self.states[mid2]
             if not (t <= st2.ready <= t + window):
@@ -386,7 +390,7 @@ class _Sim:
         ctx = RescheduleContext(
             inst=self.inst, trigger_time=at, round_index=self.round_index,
             states={mid: s.copy() for mid, s in self.states.items()},
-            pending=pending, copies=copies, chrom=self.chrom, det=self.det,
+            pending=pending, copies=copies, chrom=self.chrom, det=bool(self.det),
             prop2=self.prop2,
             rng=self.root.substream(NS_RESCHED, self.round_index),
             baseline_starts=self.baseline_starts)
@@ -412,92 +416,104 @@ class _Sim:
     # -- main loop -----------------------------------------------------
 
     def run(self) -> None:
-        g = self.inst.globals
         while True:
-            while True:
-                active = self._active()
-                if not active:
-                    break
-                mid = min(active, key=lambda m: (self._effective_start(m), m))
-                t = self._effective_start(mid)
-                self._drain(t)
-                if self.pending_trigger is not None:
-                    self._do_reschedule(self.pending_trigger)
-                    continue
-                st = self.states[mid]
-                mp = self.inst.machine(mid)
-                ent = self.queues[mid][self.ptr[mid]]
-                if ent.is_idle and self.skip_idle:
-                    self.ptr[mid] += 1
-                    continue
-                if cm_required(st.w, mp.cap):
-                    self._apply_cm(mid, st.ready)
-                    continue
-                if self._try_pm(mid, t):
-                    continue
-                t = self._effective_start(mid)
-                dt = (t - st.last_start) - st.maint_acc
-                if dt < 0.0:
-                    dt = 0.0
-                jrng = self.root.substream(NS_JOB, ent.eid)
-                erng = self.env[mid]
-                if ent.is_idle:
-                    o = self.inst.idle_nominal[ent.idle_type][mid]
-                    spec = self.inst.quality[ent.idle_type]
-                    (p, _, _, _, _, dv, _, du_p, w_after, jctr, ectr) = _kernel.job_step(
-                        jrng.key, jrng.ctr, erng.key, erng.ctr,
-                        1 if self.det else 0, 1, st.w, dt, o,
-                        g.eta, mp.alpha, mp.beta, mp.mu_minus, mp.sigma_minus,
-                        mp.mu_plus, mp.sigma_plus, mp.ups0, mp.a, mp.b0,
-                        mp.gamma, spec.target, spec.tol, spec.mu_q,
-                        spec.sigma_q, spec.lo, spec.hi, g.noise_sigma)
-                    erng.ctr = ectr
-                    self.idle_events.append(IdleEvent(
-                        ent.eid, ent.slot, ent.idle_type, mid, t, p, dv, du_p,
-                        st.w, w_after))
-                else:
-                    job = ent.job
-                    o = job.nominal_times[mid]
-                    spec = self.inst.quality[job.type]
-                    (p, d, q, ups, eps, dv, du_m, du_p, w_after, jctr, ectr) = \
-                        _kernel.job_step(
-                            jrng.key, jrng.ctr, erng.key, erng.ctr,
-                            1 if self.det else 0, 0, st.w, dt, o,
-                            g.eta, mp.alpha, mp.beta, mp.mu_minus,
-                            mp.sigma_minus, mp.mu_plus, mp.sigma_plus,
-                            mp.ups0, mp.a, mp.b0, mp.gamma, spec.target,
-                            spec.tol, spec.mu_q, spec.sigma_q, spec.lo,
-                            spec.hi, g.noise_sigma)
-                    erng.ctr = ectr
-                    self.job_events.append(JobEvent(
-                        ent.eid, job.id, job.origin, job.type, mid, ent.slot,
-                        t, p, d, bool(q), ups, eps, du_m, du_p, dv,
-                        st.w, w_after))
-                    st.cyc_jobs += 1
-                    st.cyc_busy += p
-                    heapq.heappush(self.heap, (t + p, self.seq, mid, ent, q))
-                    self.seq += 1
-                st.last_start = t
-                st.maint_acc = 0.0
-                st.w = w_after
-                st.ready = t + p
-                self.ptr[mid] += 1
-                # a crossing is repaired at the completion that caused it,
-                # even when the machine has nothing left to do
-                if cm_required(st.w, mp.cap):
-                    self._apply_cm(mid, st.ready)
-            self._drain(math.inf)
+            self._advance()
+            if self.pending_trigger is None and self.rework:
+                self._drain(math.inf)
             if self.pending_trigger is None:
-                break
+                return
             self._do_reschedule(self.pending_trigger)
 
+    def _advance(self) -> None:
+        """Process events in global time order until every queue is
+        empty or a rework trigger is pending."""
+        job_step = _kernel.job_step
+        queues, ptr, states = self.queues, self.ptr, self.states
+        inst, chrom, det, env = self.inst, self.chrom, self.det, self.env
+        machine_args, type_args = self.machine_args, self.type_args
+        skip_idle, summary, jobs = self.skip_idle, self.summary, self.jobs
+        heap = self.heap if self.rework else None
+        while True:
+            # frontier: earliest effective start, ties to the lowest id
+            mid = -1
+            t = 0.0
+            for m, row in queues.items():
+                i = ptr[m]
+                if i < len(row):
+                    tm = states[m].ready
+                    rel = row[i].release
+                    if rel > tm:
+                        tm = rel
+                    if mid < 0 or tm < t or (tm == t and m < mid):
+                        mid, t, ent = m, tm, row[i]
+            if mid < 0:
+                return
+            if heap and heap[0][0] <= t:
+                self._drain(t)
+                if self.pending_trigger is not None:
+                    return
+            job = ent.job
+            if job is None and skip_idle:
+                ptr[mid] += 1
+                continue
+            st = states[mid]
+            mp = inst.machine(mid)
+            if cm_required(st.w, mp.cap):
+                self._apply_cm(mid, st.ready)
+                continue
+            if pm_due(st, chrom.zeta, chrom.n_u, mp) and self._try_pm(mid, t):
+                continue
+            dt = (t - st.last_start) - st.maint_acc
+            if dt < 0.0:
+                dt = 0.0
+            erng = env[mid]
+            w = st.w
+            if job is None:
+                (p, _, _, _, _, dv, _, du_p, w_after, _, erng.ctr) = job_step(
+                    jobs.subkey(ent.eid), 0, erng.key, erng.ctr, det, 1, w, dt,
+                    inst.idle_nominal[ent.idle_type][mid], *machine_args[mid],
+                    *type_args[ent.idle_type])
+                if not summary:
+                    self.idle_events.append(IdleEvent(
+                        ent.eid, ent.slot, ent.idle_type, mid, t, p, dv, du_p,
+                        w, w_after))
+            else:
+                (p, d, q, ups, eps, dv, du_m, du_p, w_after, _, erng.ctr) = \
+                    job_step(jobs.subkey(ent.eid), 0, erng.key, erng.ctr, det,
+                             0, w, dt, job.nominal_times[mid],
+                             *machine_args[mid], *type_args[job.type])
+                if not summary:
+                    self.job_events.append(JobEvent(
+                        ent.eid, job.id, job.origin, job.type, mid, ent.slot,
+                        t, p, d, bool(q), ups, eps, du_m, du_p, dv, w, w_after))
+                if t + p > self.end:
+                    self.end = t + p
+                self.q_count += q
+                st.cyc_jobs += 1
+                st.cyc_busy += p
+                if heap is not None:
+                    heapq.heappush(heap, (t + p, self.seq, mid, ent, q))
+                    self.seq += 1
+            st.last_start = t
+            st.maint_acc = 0.0
+            st.w = w_after
+            st.ready = t + p
+            ptr[mid] += 1
+            # a crossing is repaired at the completion that caused it,
+            # even when the machine has nothing left to do
+            if cm_required(w_after, mp.cap):
+                self._apply_cm(mid, st.ready)
+
+    def span_end(self, default: float) -> float:
+        """Latest job completion, or default when no job ran."""
+        return self.end if self.end != -math.inf else default
+
     def trace(self, mode: str) -> ScheduleTrace:
-        makespan = max((ev.completion for ev in self.job_events), default=0.0)
         cost = sum(ev.cost for ev in self.maint_events)
-        q = sum(1 for ev in self.job_events if ev.qualified)
-        return ScheduleTrace(mode, self.det, self.job_events, self.idle_events,
-                             self.maint_events, self.resched_points,
-                             self.states, makespan, cost, q)
+        return ScheduleTrace(mode, bool(self.det), self.job_events,
+                             self.idle_events, self.maint_events,
+                             self.resched_points, self.states,
+                             self.span_end(0.0), cost, self.q_count)
 
 
 def fill_idle_slots(ctx: RescheduleContext) -> dict[int, list[_Ent]]:
@@ -552,14 +568,13 @@ def simulate(inst: ProblemInstance, plan: SchedulePlan, root: RngStream,
     queues = _entities_from_plan(plan, inst)
     states = {m.id: MachineState(m.id, m.w0) for m in inst.machines}
     online = cfg.mode == ONLINE
-    base = planned_starts(plan, inst)
     sim = _Sim(inst, queues, states, plan.chrom, root, cfg.det, cfg.prop2,
                skip_idle=online, rework=online,
-               rescheduler=cfg.rescheduler, starts=plan.starts,
-               baseline_starts=base,
+               rescheduler=cfg.rescheduler,
+               baseline_starts=planned_starts(plan, inst) if online else None,
                eid_base=plan.chrom.n_slots,
                copy_id_base=inst.n_jobs + plan.chrom.n_slots,
-               counter=cfg.counter)
+               counter=cfg.counter, summary=cfg.summary)
     sim.run()
     return sim.trace(cfg.mode)
 
@@ -578,12 +593,10 @@ def simulate_suffix(ctx: RescheduleContext, queues: dict[int, list[_Ent]],
     states = {mid: s.copy() for mid, s in ctx.states.items()}
     sim = _Sim(ctx.inst, {mid: list(row) for mid, row in queues.items()},
                states, ctx.chrom, eval_rng, ctx.det, ctx.prop2,
-               skip_idle=True, rework=False, counter=counter)
+               skip_idle=True, rework=False, counter=counter, summary=True)
     sim.run()
-    end = max((ev.completion for ev in sim.job_events), default=ctx.trigger_time)
     cost = sum(ev.cost for ev in sim.maint_events)
-    q = sum(1 for ev in sim.job_events if ev.qualified)
-    return end - ctx.trigger_time, cost, q
+    return sim.span_end(ctx.trigger_time) - ctx.trigger_time, cost, sim.q_count
 
 
 def compact(plan: SchedulePlan) -> SchedulePlan:

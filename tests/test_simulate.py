@@ -1,6 +1,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reworkopt.encoding import Chromosome, decode, random_chromosome
 from reworkopt.instances import toy_instance
@@ -326,3 +328,23 @@ def test_resched_fitness_golden():
 def test_execution_fitness_golden():
     assert fitness_eval(_trace(25.0, 100.0, 5), 2.0) == pytest.approx(2e-4, abs=1e-9)
     assert fitness_eval(_trace(0.0, 1.0, 0), 1.0) == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 30), st.integers(0, 10_000),
+       st.lists(st.sampled_from([0, 1]), max_size=3), st.booleans(),
+       st.booleans())
+def test_summary_only_run_matches_the_full_trace(n_jobs, inst_seed, seed,
+                                                 idle_types, det, prop2):
+    inst = toy_instance(n_jobs, seed=inst_seed)
+    idle_types = tuple(t for t in idle_types if t in inst.quality)
+    ch = random_chromosome(inst, idle_types, RngStream.from_seed(seed))
+    plan = decode(ch, inst)
+    root = RngStream.from_seed(seed + 1)
+    full = simulate(inst, plan, root, SimConfig(det=det, prop2=prop2))
+    lean = simulate(inst, plan, root,
+                    SimConfig(det=det, prop2=prop2, summary=True))
+    assert (lean.makespan, lean.maint_cost, lean.q_count) == \
+        (full.makespan, full.maint_cost, full.q_count)
+    assert lean.maint_events == full.maint_events
+    assert lean.job_events == [] and lean.idle_events == []
