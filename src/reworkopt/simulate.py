@@ -372,20 +372,20 @@ class _Sim:
                 ms.maint_acc += grp.duration
         return True
 
-    def _make_copies(self) -> list[_Ent]:
+    def _make_copies(self, at: float) -> list[_Ent]:
         out = []
         for job in self.window_copy_jobs:
             cid = self.next_copy_id
             self.next_copy_id += 1
             copy = Job(id=cid, type=job.type,
                        nominal_times=dict(job.nominal_times), origin=job.id)
-            out.append(_Ent(self.next_eid, -1, copy, None))
+            out.append(_Ent(self.next_eid, -1, copy, None, at))
             self.next_eid += 1
         return out
 
     def _do_reschedule(self, at: float) -> None:
         self.round_index += 1
-        copies = self._make_copies()
+        copies = self._make_copies(at)
         pending = {mid: list(self.queues[mid][self.ptr[mid]:]) for mid in self.queues}
         ctx = RescheduleContext(
             inst=self.inst, trigger_time=at, round_index=self.round_index,

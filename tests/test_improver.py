@@ -1,14 +1,17 @@
 import pytest
 
-from reworkopt.encoding import Chromosome, decode, random_chromosome
+from reworkopt.encoding import (Chromosome, GeneBounds, decode,
+                                random_chromosome)
 from reworkopt.improver import (deviation, ji_insert, js_swap,
                                 make_rescheduler, right_shift_rescheduler)
-from reworkopt.instances import toy_instance
+from reworkopt.instances import generate_instance, toy_instance
 from reworkopt.model import (GlobalParams, Job, MachineParams, ObjectivePair,
                              ProblemInstance, QualitySpec)
-from reworkopt.rng import RngStream
+from reworkopt.oracle import check_feasibility
+from reworkopt.orchestrator import allocate_budget
+from reworkopt.rng import NS_INIT, NS_ONLINE, RngStream
 from reworkopt.simulate import (ONLINE, STATIC, JobEvent, ScheduleTrace,
-                                SimConfig, simulate)
+                                SimConfig, idle_space_count, simulate)
 
 
 def test_insert_helper_copies_and_places():
@@ -167,3 +170,34 @@ def test_rescheduler_accounts_every_projection():
     assert len(tr.resched_points) == 1
     # two baselines plus one projection per hill-climb step
     assert counter[0] == 8
+
+
+def test_rework_copies_never_start_before_their_trigger():
+    # a machine that ran out of work keeps its frontier below the
+    # trigger time; a copy the improver pulls there must still wait for
+    # the trigger, which is when its original turned out nonconforming
+    inst = generate_instance(200, 1)
+    master = RngStream.from_seed(1)
+    counts = idle_space_count(inst, master.substream(NS_INIT))
+    idle_types = tuple(t for t in sorted(counts) for _ in range(counts[t]))
+    crng = master.substream(NS_INIT, 1)
+    for _ in range(2):
+        ch = random_chromosome(inst, idle_types, crng, GeneBounds())
+    ch.thr_r, ch.zeta, ch.psi, ch.n_u = 0.2, 0.6, 0.5, 2
+    budget = allocate_budget(20, 4).rounds[-1][1]
+    tr = simulate(inst, decode(ch, inst), master.substream(NS_ONLINE, 0, 1),
+                  SimConfig(mode=ONLINE, rescheduler=make_rescheduler(budget)))
+    copy = next(ev for ev in tr.job_events if ev.job_id == 549)
+    assert copy.origin == 73
+    assert check_feasibility(inst, tr) == []
+    # copies get entity ids in trigger order, after the plan's slots
+    trigger_of = {}
+    eid = ch.n_slots
+    for pt in tr.resched_points:
+        for _ in range(pt.n_copies):
+            trigger_of[eid] = pt.time
+            eid += 1
+    copies = [ev for ev in tr.job_events if ev.origin is not None]
+    assert copies
+    for ev in copies:
+        assert ev.start >= trigger_of[ev.eid]

@@ -337,7 +337,7 @@ def test_execution_fitness_golden():
 def test_summary_only_run_matches_the_full_trace(n_jobs, inst_seed, seed,
                                                  idle_types, det, prop2):
     inst = toy_instance(n_jobs, seed=inst_seed)
-    idle_types = tuple(t for t in idle_types if t in inst.quality)
+    idle_types = tuple(t for t in idle_types if t in inst.job_types())
     ch = random_chromosome(inst, idle_types, RngStream.from_seed(seed))
     plan = decode(ch, inst)
     root = RngStream.from_seed(seed + 1)
