@@ -65,9 +65,22 @@ def deviation(plan, trace: ScheduleTrace, inst: ProblemInstance) -> float:
     return d if d > 1.0 else 1.0
 
 
-def _score(ctx: RescheduleContext, queues, counter) -> float:
-    span, cost, q = simulate_suffix(ctx, queues, ctx.rng, counter)
-    return fitness_resched(q, cost, span)
+def _score(ctx: RescheduleContext, queues, counter, seen: dict) -> float:
+    """Rescheduling fitness of one candidate suffix plan.
+
+    Every evaluation counts as one simulator call, but a candidate that
+    repeats one already projected at this trigger (the same entity
+    sequence on every machine, idle entries included) is looked up in
+    seen instead of projected again: its shared draws make the outcome
+    identical."""
+    if counter is not None:
+        counter[0] += 1
+    key = tuple((mid, tuple(e.eid for e in row)) for mid, row in queues.items())
+    f = seen.get(key)
+    if f is None:
+        span, cost, q = simulate_suffix(ctx, queues, ctx.rng)
+        f = seen[key] = fitness_resched(q, cost, span)
+    return f
 
 
 def _real_positions(row) -> list[int]:
@@ -81,11 +94,12 @@ def reschedule(ctx: RescheduleContext, budget: int,
     Returns (queues, f_r) as expected by the simulator hook.
     """
     rng = ctx.rng.substream(NS_SEARCH)
+    seen: dict = {}
     base_fill = fill_idle_slots(ctx)
     base_append = append_copies(ctx)
     best = base_fill
-    best_f = _score(ctx, base_fill, counter)
-    f_append = _score(ctx, base_append, counter)
+    best_f = _score(ctx, base_fill, counter, seen)
+    f_append = _score(ctx, base_append, counter, seen)
     if f_append > best_f:
         best, best_f = base_append, f_append
     cur, cur_f = best, best_f
@@ -122,7 +136,7 @@ def reschedule(ctx: RescheduleContext, budget: int,
                 ea, eb = cand[ma][ia], cand[mb][ib]
                 if (mb in ea.job.nominal_times and ma in eb.job.nominal_times):
                     cand[ma][ia], cand[mb][ib] = eb, ea
-        f = _score(ctx, cand, counter)
+        f = _score(ctx, cand, counter, seen)
         if f > cur_f:
             cur, cur_f = cand, f
             est = {mid: ctx.states[mid].ready
@@ -144,5 +158,5 @@ def right_shift_rescheduler(counter: list | None = None):
     """Baseline policy: never re-sequence, just append the copies."""
     def hook(ctx: RescheduleContext):
         queues = append_copies(ctx)
-        return queues, _score(ctx, queues, counter)
+        return queues, _score(ctx, queues, counter, {})
     return hook

@@ -1,5 +1,6 @@
 import pytest
 
+from reworkopt import improver
 from reworkopt.encoding import (Chromosome, GeneBounds, decode,
                                 random_chromosome)
 from reworkopt.improver import (deviation, ji_insert, js_swap,
@@ -159,17 +160,24 @@ def test_hill_climb_never_scores_below_the_append_baseline():
     assert hits >= 10
 
 
-def test_rescheduler_accounts_every_projection():
+def test_rescheduler_accounts_every_projection(monkeypatch):
     jobs = [Job(0, 1, {0: 1.0})]
     inst = _inst(jobs, [_flat()])
     ch = Chromosome([0], [0.5], (), thr_r=0.5, n_u=0)
     counter = [0]
+    projected = []
+    real = improver.simulate_suffix
+    monkeypatch.setattr(improver, "simulate_suffix",
+                        lambda *a: projected.append(1) or real(*a))
     tr = simulate(inst, decode(ch, inst), RngStream.from_seed(0),
                   SimConfig(mode=ONLINE, prop2=False,
                             rescheduler=make_rescheduler(6, counter)))
     assert len(tr.resched_points) == 1
-    # two baselines plus one projection per hill-climb step
+    # two baselines plus one evaluation per hill-climb step
     assert counter[0] == 8
+    # one machine and one copy: every candidate is the same suffix plan,
+    # projected once and looked up for the other seven evaluations
+    assert len(projected) == 1
 
 
 def test_rework_copies_never_start_before_their_trigger():
