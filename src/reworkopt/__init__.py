@@ -13,6 +13,7 @@ from .encoding import Chromosome, GeneBounds, SchedulePlan
 from .model import (
     GlobalParams,
     IncapableMachineError,
+    InvalidInstanceError,
     Job,
     MachineParams,
     ObjectivePair,
@@ -33,6 +34,7 @@ __all__ = [
     "GeneBounds",
     "GlobalParams",
     "IncapableMachineError",
+    "InvalidInstanceError",
     "Job",
     "MachineParams",
     "ONLINE",

@@ -10,11 +10,24 @@ maintenance cost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+# least normal mass a truncated input-quality interval must hold: draws
+# are rejected outside it, so a thin interval costs about 1/mass tries
+MIN_QUALITY_MASS = 1e-3
 
 
 class IncapableMachineError(ValueError):
     """A slot was assigned to a machine that cannot process its job type."""
+
+
+class InvalidInstanceError(ValueError):
+    """An instance breaks an invariant the simulator relies on."""
+
+    def __init__(self, errors: list[str]):
+        super().__init__("invalid instance: " + "; ".join(errors))
+        self.errors = errors
 
 
 @dataclass
@@ -154,6 +167,21 @@ def _mean_nominals(jobs: list[Job]) -> dict[int, dict[int, float]]:
             for t, per in acc.items()}
 
 
+def _normal_mass(q: QualitySpec) -> float:
+    """Probability that an input-quality draw lands in [lo, hi]."""
+    z = q.sigma_q * math.sqrt(2.0)
+    return 0.5 * (math.erf((q.hi - q.mu_q) / z) - math.erf((q.lo - q.mu_q) / z))
+
+
+def require_valid(inst: ProblemInstance) -> ProblemInstance:
+    """Return inst, or raise InvalidInstanceError naming every violation.
+    Called where instances enter the system, not inside the simulator."""
+    errs = validate_instance(inst)
+    if errs:
+        raise InvalidInstanceError(errs)
+    return inst
+
+
 def validate_instance(inst: ProblemInstance) -> list[str]:
     """Collect invariant violations; an empty list means the instance is
     usable."""
@@ -191,10 +219,14 @@ def validate_instance(inst: ProblemInstance) -> list[str]:
     for t, q in inst.quality.items():
         if not q.tol > 0:
             errs.append(f"type {t}: nonpositive tolerance")
-        if q.sigma_q < 0:
+        if not q.sigma_q >= 0:
             errs.append(f"type {t}: negative sigma_q")
         if not q.lo <= q.hi:
             errs.append(f"type {t}: empty quality truncation interval")
+        elif q.sigma_q > 0 and not _normal_mass(q) >= MIN_QUALITY_MASS:
+            errs.append(f"type {t}: quality interval [{q.lo}, {q.hi}] holds "
+                        f"less than {MIN_QUALITY_MASS} of the input "
+                        "distribution")
     g = inst.globals
     if g.eta < 0:
         errs.append("eta must be nonnegative")

@@ -17,6 +17,7 @@ from .model import (
     MachineParams,
     ProblemInstance,
     QualitySpec,
+    require_valid,
 )
 
 INSTANCE_TAG = "# reworkopt-instance v1"
@@ -101,6 +102,16 @@ def save_instance(inst: ProblemInstance, path) -> None:
 
 
 def parse_instance(text: str, path="<string>") -> ProblemInstance:
+    """Read an instance; anything malformed raises FormatError."""
+    try:
+        return _parse_instance(text, path)
+    except FormatError:
+        raise
+    except (TypeError, KeyError, IndexError, ValueError) as exc:
+        raise FormatError("%s: malformed instance: %s" % (path, exc)) from exc
+
+
+def _parse_instance(text: str, path) -> ProblemInstance:
     lines = text.splitlines()
     _check_tag(lines, INSTANCE_TAG, path)
     section = None
@@ -163,8 +174,10 @@ def parse_instance(text: str, path="<string>") -> ProblemInstance:
 
 
 def load_instance(path) -> ProblemInstance:
+    """Read and validate an instance file (InvalidInstanceError names
+    every violated invariant)."""
     with open(path) as fh:
-        return parse_instance(fh.read(), path)
+        return require_valid(parse_instance(fh.read(), path))
 
 
 # ------------------------------------------------------------------ archive

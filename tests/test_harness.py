@@ -5,6 +5,9 @@ import pytest
 from reworkopt.harness import (ExperimentConfig, _padded_bounds,
                                collect_archives, nondominated, run_experiment,
                                score_archives, seed_dir)
+from reworkopt.instances import toy_instance
+from reworkopt.model import InvalidInstanceError
+from reworkopt.storage import save_instance
 
 
 def test_nondominated_filters_and_sorts():
@@ -89,3 +92,23 @@ def test_parallel_seeds_match_serial(tmp_path):
         a = open(seed_dir(serial.outdir, seed) + "/archive.tsv", "rb").read()
         b = open(seed_dir(parallel.outdir, seed) + "/archive.tsv", "rb").read()
         assert a == b
+
+
+def test_run_refuses_an_invalid_instance_file(tmp_path):
+    inst = toy_instance(3, seed=0)
+    q = inst.quality[0]
+    q.lo = q.hi = q.mu_q + 1.0
+    path = tmp_path / "thin.txt"
+    save_instance(inst, path)
+    cfg = ExperimentConfig(instance_path=str(path), pop_size=2, max_iter=1,
+                           n_rounds=1, outdir=str(tmp_path / "out"))
+    with pytest.raises(InvalidInstanceError, match="quality interval"):
+        run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_refuses_an_invalid_generator_spec(tmp_path):
+    cfg = ExperimentConfig(n_jobs=4, sigma_q=-0.1, pop_size=2, max_iter=1,
+                           n_rounds=1, outdir=str(tmp_path / "out"))
+    with pytest.raises(InvalidInstanceError, match="sigma_q"):
+        run_experiment(cfg)

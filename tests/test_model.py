@@ -2,9 +2,10 @@ import pytest
 
 from reworkopt.encoding import Chromosome, decode
 from reworkopt.instances import generate_instance, toy_instance
-from reworkopt.model import (GlobalParams, IncapableMachineError, Job,
-                             MachineParams, ObjectivePair, ProblemInstance,
-                             QualitySpec, validate_instance)
+from reworkopt.model import (GlobalParams, IncapableMachineError,
+                             InvalidInstanceError, Job, MachineParams,
+                             ObjectivePair, ProblemInstance, QualitySpec,
+                             require_valid, validate_instance)
 
 
 def _machine(**kw):
@@ -72,6 +73,34 @@ def test_validate_flags_nonpositive_nominal_time():
 def test_validate_flags_missing_quality_spec():
     inst = _tiny([Job(0, 3, {0: 2.0})], [_machine()])
     assert any("no quality spec" in e for e in validate_instance(inst))
+
+
+def test_validate_flags_quality_intervals_draws_would_rarely_hit():
+    # a point interval (or one far in the tail) makes the truncated
+    # input-quality draw reject for ever, or nearly so
+    inst = toy_instance()
+    q = inst.quality[0]
+    q.lo = q.hi = q.mu_q + 1.0
+    assert any("quality interval" in e for e in validate_instance(inst))
+    q.lo, q.hi = q.mu_q + 4.0 * q.sigma_q, q.mu_q + 5.0 * q.sigma_q
+    assert any("quality interval" in e for e in validate_instance(inst))
+    q.lo, q.hi = q.mu_q + 2.5 * q.sigma_q, q.mu_q + 5.0 * q.sigma_q
+    assert validate_instance(inst) == []
+    # without spread the draw is a clamp, so any interval works
+    q.sigma_q = 0.0
+    q.lo = q.hi = q.mu_q + 1.0
+    assert validate_instance(inst) == []
+    q.sigma_q = float("nan")
+    assert validate_instance(inst)
+
+
+def test_require_valid_names_every_violation():
+    assert require_valid(toy_instance()) is not None
+    inst = _tiny([Job(0, 0, {0: 0.0})], [_machine(w0=0.9, cap=0.5)])
+    with pytest.raises(InvalidInstanceError) as err:
+        require_valid(inst)
+    assert len(err.value.errors) == 2
+    assert "initial wear" in str(err.value)
 
 
 def test_decode_rejects_incapable_assignment():

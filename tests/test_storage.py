@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reworkopt.instances import generate_instance, toy_instance
-from reworkopt.model import GlobalParams, Job, ProblemInstance
+from reworkopt.model import (GlobalParams, InvalidInstanceError, Job,
+                             ProblemInstance)
 from reworkopt.storage import (ARCHIVE_TAG, INSTANCE_TAG, FormatError,
                                dump_archive, dump_instance, dump_manifest,
                                dump_report, load_archive, load_instance,
@@ -62,6 +63,31 @@ def test_instance_parser_rejects_foreign_text():
         parse_instance(ARCHIVE_TAG + "\n")
     with pytest.raises(FormatError):
         parse_instance("")
+
+
+def test_instance_parser_names_missing_fields_and_ids():
+    text = dump_instance(toy_instance(2, seed=0))
+    no_w0 = "\n".join(l for l in text.splitlines() if not l.startswith("w0 ="))
+    with pytest.raises(FormatError):
+        parse_instance(no_w0)
+    bare_idle = text.replace("[idle 0]", "[idle]")
+    assert bare_idle != text
+    with pytest.raises(FormatError):
+        parse_instance(bare_idle)
+    with pytest.raises(FormatError):
+        parse_instance(text.replace("type = 0", "type = zero", 1))
+
+
+def test_loading_validates_the_instance(tmp_path):
+    # an instance that starts above its failure threshold would repair
+    # for ever; it must be refused where it enters
+    inst = toy_instance(3, seed=0)
+    inst.machines[0].w0 = 0.95
+    inst.machines[0].cap = 0.9
+    p = tmp_path / "bad.txt"
+    save_instance(inst, p)
+    with pytest.raises(InvalidInstanceError, match="initial wear"):
+        load_instance(p)
 
 
 def test_archive_rows_come_back_sorted_and_exact():
