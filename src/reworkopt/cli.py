@@ -3,7 +3,8 @@
 Verbs: generate (instance files), run (seeded experiments), report
 (recompute indicators from stored archives), gantt (render one seeded
 simulation), pareto (pool per-seed archives), oracle (brute-force front
-and feasibility check on small instances), bench (kernel backends).
+and feasibility check on small instances).  Kernel backends are compared
+by benchmarks/bench_kernels.py.
 Every verb derives all randomness from its --seed / --seeds flags.
 """
 
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 
 from . import __version__, storage
 from .encoding import GeneBounds, decode, random_chromosome
@@ -132,25 +132,6 @@ def _cmd_oracle(args):
     return 0
 
 
-def _cmd_bench(args):
-    from ._kernel import backends
-
-    mods = backends()
-    key, ctr = 0x9E3779B97F4A7C15, 0
-    for name in sorted(mods):
-        mod = mods[name]
-        t0 = time.perf_counter()
-        acc = 0.0
-        c = ctr
-        for _ in range(args.draws):
-            x, c = mod.gamma(key, c, 0.8, 1.3)
-            acc += x
-        dt = time.perf_counter() - t0
-        print("%-9s %d gamma draws in %.3fs (checksum %.6f)" % (
-            name, args.draws, dt, acc))
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="reworkopt", description=__doc__)
     ap.add_argument("--version", action="version", version=__version__)
@@ -222,10 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--check", action="store_true",
                      help="also simulate and run the feasibility checker")
     orc.set_defaults(func=_cmd_oracle)
-
-    b = sub.add_parser("bench", help="compare kernel backends")
-    b.add_argument("--draws", type=int, default=200000)
-    b.set_defaults(func=_cmd_bench)
     return ap
 
 

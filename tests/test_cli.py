@@ -98,13 +98,9 @@ def test_oracle_verb_checks_its_own_front(capsys):
     assert "feasibility: ok" in out
 
 
-def test_bench_verb_reports_backends(capsys):
-    assert main(["bench", "--draws", "2000"]) == 0
-    out = capsys.readouterr().out
-    assert "gamma draws" in out
-    assert "pure" in out
-
-
 def test_parser_rejects_unknown_verb():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["conquer"])
+    # backends are compared by benchmarks/bench_kernels.py, not the CLI
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["bench"])
