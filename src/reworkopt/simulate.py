@@ -8,14 +8,28 @@ from the wear at that instant, then the job-induced wear lands.  Failure
 the completion that caused it; preventive maintenance is a threshold
 policy with joint grouping and a payoff screen.
 
-Quality outcomes are consumed strictly in completion-time order (a heap
-decouples them from the per-machine stepping), so rework triggers can
-never rewrite work that already started: a trigger at time T reshuffles
-only slots starting at or after T.
+Every entry has a release time, the earliest it may start: a start
+pinned by the plan, or, for a rework copy, the trigger time that
+created it.  A machine that ran out of work keeps its frontier below
+the trigger, and without the release a copy placed there would start
+before its original had finished.  The next event is on the machine
+with the earliest max(ready, release), ties to the lowest machine id.
+
+In online execution, quality outcomes are consumed strictly in
+completion-time order (a heap decouples them from the per-machine
+stepping), so rework triggers can never rewrite work that already
+started: a trigger at time T reshuffles only slots starting at or after
+T.  Static runs and suffix projections never rework and keep no heap.
 
 Modes: static execution runs idle placeholders as time reservations and
 never reworks; online execution skips unfilled placeholders and hands
 rework triggers to a pluggable rescheduler.
+
+Summary-only runs (SimConfig.summary, used by planner labels; suffix
+projections always run so) track makespan, maintenance cost and the
+qualified count as they go and build no job or idle event records;
+their trace has empty job_events and idle_events but the full
+maintenance event list.  Draws and results match the full run exactly.
 """
 
 from __future__ import annotations
@@ -219,7 +233,7 @@ class _Sim:
         self.rescheduler = rescheduler
         self.baseline_starts = baseline_starts or {}
         self.env = {mid: root.substream(NS_ENV, mid) for mid in queues}
-        self.jobs = root.substream(NS_JOB)    # entity eid draws from jobs.subkey(eid)
+        self.job_root = root.substream(NS_JOB)   # entity eid draws from job_root.subkey(eid)
         # kernel arguments that stay fixed along the run
         g = inst.globals
         self.machine_args = {
@@ -431,7 +445,7 @@ class _Sim:
         queues, ptr, states = self.queues, self.ptr, self.states
         inst, chrom, det, env = self.inst, self.chrom, self.det, self.env
         machine_args, type_args = self.machine_args, self.type_args
-        skip_idle, summary, jobs = self.skip_idle, self.summary, self.jobs
+        skip_idle, summary, job_root = self.skip_idle, self.summary, self.job_root
         heap = self.heap if self.rework else None
         while True:
             # frontier: earliest effective start, ties to the lowest id
@@ -470,7 +484,7 @@ class _Sim:
             w = st.w
             if job is None:
                 (p, _, _, _, _, dv, _, du_p, w_after, _, erng.ctr) = job_step(
-                    jobs.subkey(ent.eid), 0, erng.key, erng.ctr, det, 1, w, dt,
+                    job_root.subkey(ent.eid), 0, erng.key, erng.ctr, det, 1, w, dt,
                     inst.idle_nominal[ent.idle_type][mid], *machine_args[mid],
                     *type_args[ent.idle_type])
                 if not summary:
@@ -479,7 +493,7 @@ class _Sim:
                         w, w_after))
             else:
                 (p, d, q, ups, eps, dv, du_m, du_p, w_after, _, erng.ctr) = \
-                    job_step(jobs.subkey(ent.eid), 0, erng.key, erng.ctr, det,
+                    job_step(job_root.subkey(ent.eid), 0, erng.key, erng.ctr, det,
                              0, w, dt, job.nominal_times[mid],
                              *machine_args[mid], *type_args[job.type])
                 if not summary:
