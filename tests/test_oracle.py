@@ -1,17 +1,19 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reworkopt.encoding import decode, random_chromosome
 from reworkopt.improver import make_rescheduler
-from reworkopt.instances import oracle_toy, toy_instance
+from reworkopt.instances import generate_instance, oracle_toy, toy_instance
 from reworkopt.model import (GlobalParams, Job, MachineParams, ProblemInstance,
                              QualitySpec)
 from reworkopt.oracle import (OracleSolution, _feasible, check_feasibility,
                               enumerate_pareto, solution_chromosome)
-from reworkopt.rng import RngStream
+from reworkopt.rng import NS_INIT, NS_ONLINE, RngStream
 from reworkopt.simulate import (ONLINE, STATIC, MaintenanceEvent, SimConfig,
-                                simulate)
+                                idle_space_count, simulate)
 
 
 def _toy_trace(seed=0, mode=STATIC):
@@ -186,3 +188,19 @@ def test_enumerated_front_replays_exactly():
             assert tr.makespan == sol.objectives.makespan
             assert tr.maint_cost == sol.objectives.maint_cost
             assert check_feasibility(inst, tr) == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(8, 40), st.integers(0, 1000), st.integers(0, 1000),
+       st.integers(0, 3), st.floats(0.05, 0.5))
+def test_audit_accepts_online_runs_on_generated_instances(n_jobs, gen_seed,
+                                                          seed, budget, thr_r):
+    inst = generate_instance(n_jobs, gen_seed)
+    master = RngStream.from_seed(seed)
+    counts = idle_space_count(inst, master.substream(NS_INIT))
+    idle_types = tuple(t for t in sorted(counts) for _ in range(counts[t]))
+    ch = random_chromosome(inst, idle_types, master.substream(NS_INIT, 1))
+    ch.thr_r = thr_r
+    tr = simulate(inst, decode(ch, inst), master.substream(NS_ONLINE, 0),
+                  SimConfig(mode=ONLINE, rescheduler=make_rescheduler(budget)))
+    assert check_feasibility(inst, tr) == []
