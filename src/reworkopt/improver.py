@@ -65,21 +65,22 @@ def deviation(plan, trace: ScheduleTrace, inst: ProblemInstance) -> float:
     return d if d > 1.0 else 1.0
 
 
-def _score(ctx: RescheduleContext, queues, counter, seen: dict) -> float:
+def _score(ctx: RescheduleContext, queues, counter, seen: list) -> float:
     """Rescheduling fitness of one candidate suffix plan.
 
-    Every evaluation counts as one simulator call, but a candidate that
-    repeats one already projected at this trigger (the same entity
-    sequence on every machine, idle entries included) is looked up in
-    seen instead of projected again: its shared draws make the outcome
-    identical."""
+    Every evaluation counts as one simulator call, but a candidate equal
+    to one already projected at this trigger (the same entities in the
+    same order on every machine, idle entries included) reuses its
+    score from seen: shared draws make the outcome identical.  Entries
+    compare by identity, so no key is built."""
     if counter is not None:
         counter[0] += 1
-    key = tuple((mid, tuple(e.eid for e in row)) for mid, row in queues.items())
-    f = seen.get(key)
-    if f is None:
-        span, cost, q = simulate_suffix(ctx, queues, ctx.rng)
-        f = seen[key] = fitness_resched(q, cost, span)
+    for prev, f in seen:
+        if prev == queues:
+            return f
+    span, cost, q = simulate_suffix(ctx, queues, ctx.rng)
+    f = fitness_resched(q, cost, span)
+    seen.append((queues, f))
     return f
 
 
@@ -94,7 +95,7 @@ def reschedule(ctx: RescheduleContext, budget: int,
     Returns (queues, f_r) as expected by the simulator hook.
     """
     rng = ctx.rng.substream(NS_SEARCH)
-    seen: dict = {}
+    seen: list = []
     base_fill = fill_idle_slots(ctx)
     base_append = append_copies(ctx)
     best = base_fill
@@ -158,5 +159,5 @@ def right_shift_rescheduler(counter: list | None = None):
     """Baseline policy: never re-sequence, just append the copies."""
     def hook(ctx: RescheduleContext):
         queues = append_copies(ctx)
-        return queues, _score(ctx, queues, counter, {})
+        return queues, _score(ctx, queues, counter, [])
     return hook
