@@ -233,7 +233,8 @@ class _Sim:
         self.rescheduler = rescheduler
         self.baseline_starts = baseline_starts or {}
         self.env = {mid: root.substream(NS_ENV, mid) for mid in queues}
-        self.job_root = root.substream(NS_JOB)   # entity eid draws from job_root.subkey(eid)
+        # entity eid draws with key job_root.subkey(eid)
+        self.job_root = root.substream(NS_JOB)
         # kernel arguments that stay fixed along the run
         g = inst.globals
         self.machine_args = {
