@@ -1,7 +1,9 @@
+import hashlib
+
 import pytest
 
 from reworkopt.encoding import Chromosome, GeneBounds, decode, random_chromosome
-from reworkopt.instances import toy_instance
+from reworkopt.instances import generate_instance, toy_instance
 from reworkopt.model import (GlobalParams, Job, MachineParams, ProblemInstance,
                              QualitySpec)
 from reworkopt.planner import (Individual, PlannerConfig, _roulette,
@@ -9,7 +11,8 @@ from reworkopt.planner import (Individual, PlannerConfig, _roulette,
                                det_preview, init_population, label_static,
                                mutate_genes, plan, prop1_swap, re_operator,
                                rebalance, similarity)
-from reworkopt.rng import RngStream
+from reworkopt.rng import NS_INIT, RngStream
+from reworkopt.simulate import idle_space_count
 
 
 def _flat(**kw):
@@ -284,3 +287,22 @@ def test_population_init_is_seeded_and_sized():
     assert len(a) == 5
     assert [x.chrom.digest() for x in a] == [y.chrom.digest() for y in b]
     assert all(x.obj is not None for x in a)
+
+
+PINNED_POPULATION = (
+    "ae3f6602a7d02df00b7cac462d0b89477e43be093fe821d53c03e2b72d68c2cd")
+
+
+def test_two_generations_on_a_generated_instance_are_pinned():
+    """Labels and objectives of a whole population, bit for bit: the
+    first generation explores, the second refines with previews."""
+    inst = generate_instance(60, 3)
+    master = RngStream.from_seed(11)
+    counts = idle_space_count(inst, master.substream(NS_INIT))
+    idle_types = tuple(t for t in sorted(counts) for _ in range(counts[t]))
+    pop, _ = plan(inst, 2, master, PlannerConfig(),
+                  idle_types=idle_types, max_iter=4)
+    h = hashlib.sha256()
+    for ind in pop:
+        h.update(repr((ind.chrom.digest(), ind.label, ind.obj)).encode())
+    assert h.hexdigest() == PINNED_POPULATION
