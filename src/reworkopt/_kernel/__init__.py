@@ -3,8 +3,14 @@
 The compiled extension is preferred when it imports; the pure-Python
 twin is the fallback and the reference.  Set REWORKOPT_PURE=1 to force
 the fallback (used by the parity tests and the benchmark).
+
+``shared_draws()`` opens a scope in which the pure kernel computes each
+repeated (key, ctr) draw once (see ``pure``); callers that replay the
+same worlds many times open it.  The compiled kernel has no such memo,
+so there it is a no-op context.
 """
 
+import contextlib
 import os
 
 from . import pure
@@ -28,6 +34,7 @@ clamped_normal = _impl.clamped_normal
 gamma = _impl.gamma
 truncated_normal = _impl.truncated_normal
 job_step = _impl.job_step
+shared_draws = getattr(_impl, "shared_draws", contextlib.nullcontext)
 
 
 def backends():

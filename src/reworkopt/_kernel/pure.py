@@ -9,14 +9,27 @@ RNG scheme: splitmix64-style hash of (key, counter).  Each uniform draw
 consumes one counter tick; derived draws consume a deterministic (data
 independent per attempt) number of ticks, so identical (key, ctr) inputs
 give identical outputs on both backends.
+
+Shared draws: callers that replay the same worlds many times (planner
+labels, suffix projections of one trigger) open ``shared_draws()``.
+While it is open, the standard normal behind ``normal`` and gamma's
+uniforms are kept in per-key tables indexed by counter, so a repeated
+(key, ctr) is read back instead of hashed and transformed again.  A
+table holds the very double the expressions produced, so no value
+changes; it only spares the big-integer hashing that dominates this
+module.  The compiled twin hashes in machine words and needs no such
+memo, so it has none and the kernel API is the same on both backends.
 """
 
 import math
+from array import array
+from contextlib import contextmanager
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _TWO_PI = 6.283185307179586
 _INV_2_53 = 2.0 ** -53
+_NAN = float("nan")
 
 
 def mix64(z):
@@ -33,14 +46,63 @@ def u01(key, ctr):
     return ((z >> 11) + 0.5) * _INV_2_53
 
 
+# Draw tables of the open shared_draws() scope: key -> array('d') of
+# values by counter, NaN where nothing was drawn yet (no draw is NaN).
+# None outside a scope, so nothing is stored there.
+_normals = None
+_uniforms = None
+_depth = 0
+
+
+@contextmanager
+def shared_draws():
+    """Scope in which repeated (key, ctr) draws are computed once.
+
+    Re-entrant: a nested scope keeps the outer tables, and the outermost
+    exit drops them, also when the body raises.  The tables grow with
+    what the scope draws, so open it only around work that replays the
+    same streams.
+    """
+    global _normals, _uniforms, _depth
+    if _depth == 0:
+        _normals, _uniforms = {}, {}
+    _depth += 1
+    try:
+        yield
+    finally:
+        _depth -= 1
+        if _depth == 0:
+            _normals = _uniforms = None
+
+
+def _shared(table, draw, key, ctr):
+    """draw(key, ctr), read from or stored in table when one is open."""
+    if table is None:
+        return draw(key, ctr)
+    row = table.get(key)
+    if row is None or ctr >= len(row):
+        grown = array("d", [_NAN]) * max(ctr + 1, 2 * len(row or ()), 8)
+        if row is not None:
+            grown[:len(row)] = row
+        row = table[key] = grown
+    x = row[ctr]
+    if x != x:
+        x = row[ctr] = draw(key, ctr)
+    return x
+
+
+def _std_normal(key, ctr):
+    u1 = u01(key, ctr)
+    u2 = u01(key, ctr + 1)
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
+
+
 def normal(key, ctr, mu, sigma):
     """Gaussian draw via Box-Muller (cosine branch only, 2 ticks).
 
     Returns (value, new_ctr).
     """
-    u1 = u01(key, ctr)
-    u2 = u01(key, ctr + 1)
-    z = math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
+    z = _shared(_normals, _std_normal, key, ctr)
     return mu + sigma * z, ctr + 2
 
 
@@ -64,7 +126,7 @@ def gamma(key, ctr, shape, scale):
         return 0.0, ctr
     if shape < 1.0:
         g, ctr = gamma(key, ctr, shape + 1.0, scale)
-        u = u01(key, ctr)
+        u = _shared(_uniforms, u01, key, ctr)
         ctr += 1
         return g * math.pow(u, 1.0 / shape), ctr
     d = shape - 1.0 / 3.0
@@ -75,7 +137,7 @@ def gamma(key, ctr, shape, scale):
         if v <= 0.0:
             continue
         v = v * v * v
-        u = u01(key, ctr)
+        u = _shared(_uniforms, u01, key, ctr)
         ctr += 1
         if u < 1.0 - 0.0331 * (x * x) * (x * x):
             return d * v * scale, ctr

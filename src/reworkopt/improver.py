@@ -11,6 +11,7 @@ pool, so the returned plan never scores below it.
 
 from __future__ import annotations
 
+from ._kernel import shared_draws
 from .encoding import planned_starts  # noqa: F401  (re-exported surface)
 from .model import ProblemInstance
 from .rng import NS_SEARCH, RngStream
@@ -92,59 +93,65 @@ def reschedule(ctx: RescheduleContext, budget: int,
                counter: list | None = None):
     """Pick a suffix plan for the pending work plus the rework copies.
 
-    Returns (queues, f_r) as expected by the simulator hook.
+    Returns (queues, f_r) as expected by the simulator hook.  Every
+    candidate is projected on the trigger's evaluation stream, so the
+    projections share their draws.
     """
-    rng = ctx.rng.substream(NS_SEARCH)
-    seen: list = []
-    base_fill = fill_idle_slots(ctx)
-    base_append = append_copies(ctx)
-    best = base_fill
-    best_f = _score(ctx, base_fill, counter, seen)
-    f_append = _score(ctx, base_append, counter, seen)
-    if f_append > best_f:
-        best, best_f = base_append, f_append
-    cur, cur_f = best, best_f
-    est = {mid: ctx.states[mid].ready
-           + sum(e.job.nominal_times[mid] for e in row if not e.is_idle)
-           for mid, row in cur.items()}
-    for it in range(1, budget + 1):
-        cand = {mid: list(row) for mid, row in cur.items()}
-        if it % 2 == 1:
-            # pull one job toward the machine that frees up first
-            erl = min(cand, key=lambda m: (est[m], m))
-            donors = [m for m in cand if m != erl and _real_positions(cand[m])]
-            if donors:
-                src = max(donors, key=lambda m: (est[m], m))
-                movable = [i for i in _real_positions(cand[src])
-                           if erl in cand[src][i].job.nominal_times]
-                if movable:
-                    i = movable[rng.randrange(len(movable))]
-                    ent = cand[src].pop(i)
-                    pos = rng.randrange(len(cand[erl]) + 1)
-                    cand[erl] = ji_insert(cand[erl], ent, pos)
-        else:
-            for mid, row in cand.items():
-                if len(row) > 1:
-                    i = rng.randrange(len(row) - 1)
-                    cand[mid] = js_swap(row, i, i + 1)
-            mids = [m for m in cand if _real_positions(cand[m])]
-            if len(mids) >= 2:
-                ma = mids[rng.randrange(len(mids))]
-                mb_opts = [m for m in mids if m != ma]
-                mb = mb_opts[rng.randrange(len(mb_opts))]
-                ia = rng.choice(_real_positions(cand[ma]))
-                ib = rng.choice(_real_positions(cand[mb]))
-                ea, eb = cand[ma][ia], cand[mb][ib]
-                if (mb in ea.job.nominal_times and ma in eb.job.nominal_times):
-                    cand[ma][ia], cand[mb][ib] = eb, ea
-        f = _score(ctx, cand, counter, seen)
-        if f > cur_f:
-            cur, cur_f = cand, f
-            est = {mid: ctx.states[mid].ready
-                   + sum(e.job.nominal_times[mid] for e in row if not e.is_idle)
-                   for mid, row in cur.items()}
-        if f > best_f:
-            best, best_f = cand, f
+    with shared_draws():
+        rng = ctx.rng.substream(NS_SEARCH)
+        seen: list = []
+        base_fill = fill_idle_slots(ctx)
+        base_append = append_copies(ctx)
+        best = base_fill
+        best_f = _score(ctx, base_fill, counter, seen)
+        f_append = _score(ctx, base_append, counter, seen)
+        if f_append > best_f:
+            best, best_f = base_append, f_append
+        cur, cur_f = best, best_f
+        est = {mid: ctx.states[mid].ready
+               + sum(e.job.nominal_times[mid] for e in row if not e.is_idle)
+               for mid, row in cur.items()}
+        for it in range(1, budget + 1):
+            cand = {mid: list(row) for mid, row in cur.items()}
+            if it % 2 == 1:
+                # pull one job toward the machine that frees up first
+                erl = min(cand, key=lambda m: (est[m], m))
+                donors = [m for m in cand
+                          if m != erl and _real_positions(cand[m])]
+                if donors:
+                    src = max(donors, key=lambda m: (est[m], m))
+                    movable = [i for i in _real_positions(cand[src])
+                               if erl in cand[src][i].job.nominal_times]
+                    if movable:
+                        i = movable[rng.randrange(len(movable))]
+                        ent = cand[src].pop(i)
+                        pos = rng.randrange(len(cand[erl]) + 1)
+                        cand[erl] = ji_insert(cand[erl], ent, pos)
+            else:
+                for mid, row in cand.items():
+                    if len(row) > 1:
+                        i = rng.randrange(len(row) - 1)
+                        cand[mid] = js_swap(row, i, i + 1)
+                mids = [m for m in cand if _real_positions(cand[m])]
+                if len(mids) >= 2:
+                    ma = mids[rng.randrange(len(mids))]
+                    mb_opts = [m for m in mids if m != ma]
+                    mb = mb_opts[rng.randrange(len(mb_opts))]
+                    ia = rng.choice(_real_positions(cand[ma]))
+                    ib = rng.choice(_real_positions(cand[mb]))
+                    ea, eb = cand[ma][ia], cand[mb][ib]
+                    if (mb in ea.job.nominal_times
+                            and ma in eb.job.nominal_times):
+                        cand[ma][ia], cand[mb][ib] = eb, ea
+            f = _score(ctx, cand, counter, seen)
+            if f > cur_f:
+                cur, cur_f = cand, f
+                est = {mid: ctx.states[mid].ready
+                       + sum(e.job.nominal_times[mid]
+                             for e in row if not e.is_idle)
+                       for mid, row in cur.items()}
+            if f > best_f:
+                best, best_f = cand, f
     return best, best_f
 
 

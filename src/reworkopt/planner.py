@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from ._kernel import shared_draws
 from .encoding import (Chromosome, GeneBounds, SchedulePlan, decode,
                        random_chromosome)
 from .model import ProblemInstance
@@ -410,10 +411,11 @@ def init_population(inst: ProblemInstance, idle_types: tuple[int, ...],
                     master: RngStream, cfg: PlannerConfig) -> list[Individual]:
     irng = master.substream(NS_SEARCH, 0)
     pop = []
-    for _ in range(cfg.pop_size):
-        ch = random_chromosome(inst, idle_types, irng, cfg.bounds)
-        lbl, obj = label_static_obj(inst, ch, master, cfg)
-        pop.append(Individual(ch, lbl, "static", obj))
+    with shared_draws():
+        for _ in range(cfg.pop_size):
+            ch = random_chromosome(inst, idle_types, irng, cfg.bounds)
+            lbl, obj = label_static_obj(inst, ch, master, cfg)
+            pop.append(Individual(ch, lbl, "static", obj))
     return pop
 
 
@@ -428,16 +430,18 @@ def plan(inst: ProblemInstance, iters: int, master: RngStream,
     Returns the final population and a history of (generation, best
     label, mean label).  An existing population can be passed in to
     continue a previous run (iter_offset keeps the control value on its
-    global decay path).
+    global decay path).  Every label replays the same replication
+    worlds, so the run shares their draws.
     """
     cfg = cfg or PlannerConfig()
-    if pop is None:
-        pop = init_population(inst, idle_types, master, cfg)
     max_iter = max_iter or (iter_offset + iters)
     history = []
-    for k in range(iters):
-        it = iter_offset + k + 1
-        pop = emode_step(pop, it, max_iter, inst, master, cfg)
-        labels = [ind.label for ind in pop]
-        history.append((it, max(labels), sum(labels) / len(labels)))
+    with shared_draws():
+        if pop is None:
+            pop = init_population(inst, idle_types, master, cfg)
+        for k in range(iters):
+            it = iter_offset + k + 1
+            pop = emode_step(pop, it, max_iter, inst, master, cfg)
+            labels = [ind.label for ind in pop]
+            history.append((it, max(labels), sum(labels) / len(labels)))
     return pop, history

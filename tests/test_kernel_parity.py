@@ -108,6 +108,38 @@ def test_job_step_bitwise_equal():
                 assert xp == xc
 
 
+def _draw_calls():
+    """Draws of every kind on few keys, so that their counters overlap."""
+    r = random.Random(8)
+    keys = [r.getrandbits(64) for _ in range(3)]
+    calls = []
+    for _ in range(300):
+        key, ctr = r.choice(keys), r.randrange(60)
+        calls += [
+            ("normal", (key, ctr, r.uniform(-3.0, 3.0), r.uniform(0.1, 2.0)),
+             {}),
+            ("clamped_normal", (key, ctr, 0.001, 0.015), {}),
+            ("gamma", (key, ctr, r.choice([0.0, 0.37, 1.0, 3.2]), 2.5), {}),
+            ("truncated_normal", (key, ctr, 0.0, 1.0, -0.5, 0.5), {}),
+            ("job_step", (r.choice(keys), ctr, key, r.randrange(60)),
+             _step_args(r)),
+        ]
+    return calls
+
+
+def test_shared_draws_bitwise_equal():
+    """Pure draws read from the tables of a shared_draws() scope, on a
+    first call and on a repeated one, equal the compiled ones."""
+    pure, core = MODS["pure"], MODS["compiled"]
+    calls = _draw_calls()
+    want = [repr(getattr(core, name)(*args, **kw)) for name, args, kw in calls]
+    with pure.shared_draws():
+        for _ in range(2):
+            got = [repr(getattr(pure, name)(*args, **kw))
+                   for name, args, kw in calls]
+            assert got == want
+
+
 _E2E = r"""
 import hashlib
 from reworkopt import _kernel
