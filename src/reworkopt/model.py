@@ -206,6 +206,11 @@ def validate_instance(inst: ProblemInstance) -> list[str]:
         if j.origin is not None and j.origin not in seen_jobs and not any(
                 x.id == j.origin for x in inst.jobs):
             errs.append(f"job {j.id}: origin {j.origin} not in instance")
+    # an idle placeholder of type t may sit on any machine capable of t
+    for t, mid in sorted({(j.type, mid) for j in inst.jobs
+                          for mid in j.nominal_times
+                          if mid not in inst.idle_nominal.get(j.type, ())}):
+        errs.append(f"idle type {t}: no nominal time on machine {mid}")
     for m in inst.machines:
         if not (0.0 <= m.w0 < m.cap):
             errs.append(f"machine {m.id}: initial wear {m.w0} outside [0, cap)")

@@ -90,6 +90,20 @@ def test_loading_validates_the_instance(tmp_path):
         load_instance(p)
 
 
+
+def test_loading_requires_an_idle_time_for_every_capable_machine(tmp_path):
+    # without it an idle placeholder on machine 0 has no processing time
+    text = dump_instance(toy_instance(6, seed=0))
+    head, sep, tail = text.partition("[idle 0]\n")
+    assert tail.startswith("nominal 0 =")
+    cut = head + sep + tail.split("\n", 1)[1]
+    p = tmp_path / "no_idle_time.txt"
+    p.write_text(cut)
+    with pytest.raises(InvalidInstanceError,
+                       match="idle type 0: no nominal time on machine 0"):
+        load_instance(p)
+
+
 def test_archive_rows_come_back_sorted_and_exact():
     rows = [(3, 101.5, 220.0, "aaa"), (1, 99.25, 500.0, "bbb"),
             (2, 99.25, 300.0, "ccc"), (0, 150.0, 1e-7, "ddd")]
