@@ -8,12 +8,13 @@ from reworkopt.encoding import decode, random_chromosome
 from reworkopt.improver import make_rescheduler
 from reworkopt.instances import generate_instance, oracle_toy, toy_instance
 from reworkopt.model import (GlobalParams, Job, MachineParams, ProblemInstance,
-                             QualitySpec)
+                             QualitySpec, require_valid)
 from reworkopt.oracle import (OracleSolution, _feasible, check_feasibility,
                               enumerate_pareto, solution_chromosome)
-from reworkopt.rng import NS_INIT, NS_ONLINE, RngStream
+from reworkopt.rng import NS_INIT, NS_LABEL, NS_ONLINE, RngStream
 from reworkopt.simulate import (ONLINE, STATIC, MaintenanceEvent, SimConfig,
                                 idle_space_count, simulate)
+from reworkopt.storage import dump_instance, parse_instance
 
 
 def _toy_trace(seed=0, mode=STATIC):
@@ -190,6 +191,12 @@ def test_enumerated_front_replays_exactly():
             assert check_feasibility(inst, tr) == []
 
 
+def _piloted_chromosome(inst, master):
+    counts = idle_space_count(inst, master.substream(NS_INIT))
+    idle_types = tuple(t for t in sorted(counts) for _ in range(counts[t]))
+    return random_chromosome(inst, idle_types, master.substream(NS_INIT, 1))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(8, 40), st.integers(0, 1000), st.integers(0, 1000),
        st.integers(0, 3), st.floats(0.05, 0.5))
@@ -197,10 +204,24 @@ def test_audit_accepts_online_runs_on_generated_instances(n_jobs, gen_seed,
                                                           seed, budget, thr_r):
     inst = generate_instance(n_jobs, gen_seed)
     master = RngStream.from_seed(seed)
-    counts = idle_space_count(inst, master.substream(NS_INIT))
-    idle_types = tuple(t for t in sorted(counts) for _ in range(counts[t]))
-    ch = random_chromosome(inst, idle_types, master.substream(NS_INIT, 1))
+    ch = _piloted_chromosome(inst, master)
     ch.thr_r = thr_r
     tr = simulate(inst, decode(ch, inst), master.substream(NS_ONLINE, 0),
                   SimConfig(mode=ONLINE, rescheduler=make_rescheduler(budget)))
+    assert check_feasibility(inst, tr) == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(8, 40), st.integers(0, 1000), st.integers(0, 1000),
+       st.one_of(st.just(0.0), st.floats(0.01, 0.12)), st.floats(0.1, 0.9),
+       st.sampled_from(["table", "alternate"]), st.booleans(), st.booleans())
+def test_audit_accepts_static_runs_of_loaded_instances(
+        n_jobs, gen_seed, seed, sigma_q, type_mix, coeff_set, det, prop2):
+    text = dump_instance(generate_instance(n_jobs, gen_seed, sigma_q,
+                                           coeff_set, type_mix))
+    inst = require_valid(parse_instance(text))
+    master = RngStream.from_seed(seed)
+    ch = _piloted_chromosome(inst, master)
+    tr = simulate(inst, decode(ch, inst), master.substream(NS_LABEL, 0),
+                  SimConfig(mode=STATIC, det=det, prop2=prop2))
     assert check_feasibility(inst, tr) == []
