@@ -29,7 +29,7 @@ _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _TWO_PI = 6.283185307179586
 _INV_2_53 = 2.0 ** -53
-_NAN = float("nan")
+_HOLE = array("d", [float("nan")])
 
 
 def mix64(z):
@@ -80,11 +80,10 @@ def _shared(table, draw, key, ctr):
     if table is None:
         return draw(key, ctr)
     row = table.get(key)
-    if row is None or ctr >= len(row):
-        grown = array("d", [_NAN]) * max(ctr + 1, 2 * len(row or ()), 8)
-        if row is not None:
-            grown[:len(row)] = row
-        row = table[key] = grown
+    if row is None:
+        row = table[key] = _HOLE * max(ctr + 1, 8)
+    elif ctr >= len(row):
+        row.extend(_HOLE * (max(ctr + 1, 2 * len(row)) - len(row)))
     x = row[ctr]
     if x != x:
         x = row[ctr] = draw(key, ctr)
