@@ -1,7 +1,7 @@
 """Build script: compiles the optional fast kernel.
 
 The package works without the extension (a pure-Python twin is picked at
-import time), so the extension is optional: a failed compile leaves the
+import time), so the extension is optional: a failed C compile leaves the
 pure kernel instead of aborting the install.  With Cython installed the
 extension is built from ``_core.pyx``; without it, from the generated
 ``_core.c`` shipped next to it, so ``python3 setup.py build_ext --inplace``
