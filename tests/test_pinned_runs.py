@@ -15,6 +15,7 @@ import pytest
 from reworkopt.encoding import decode, random_chromosome
 from reworkopt.improver import make_rescheduler
 from reworkopt.instances import generate_instance
+from reworkopt.orchestrator import DpeiaConfig, dpeia
 from reworkopt.rng import NS_INIT, NS_LABEL, NS_ONLINE, RngStream
 from reworkopt.simulate import (ONLINE, STATIC, SimConfig, append_copies,
                                 fill_idle_slots, idle_space_count, simulate,
@@ -91,3 +92,21 @@ def test_suffix_projections_at_the_first_trigger_are_pinned(setup60):
     simulate(inst, decode(chrom, inst), master.substream(NS_ONLINE, 0, 0),
              SimConfig(mode=ONLINE, rescheduler=hook))
     assert seen and seen[0] == SUFFIX_FIRST_TRIGGER
+
+
+DPEIA_DIGEST = "7329c533cdf20114601c2b15abe665aaa416cb11d8b0eac5f191b4a21f85dd25"
+
+
+def test_whole_dpeia_run_is_pinned():
+    """Planning labels, previews, online executions and the archive of
+    one small seeded run, with its simulator-call count."""
+    res = dpeia(generate_instance(40, 2),
+                DpeiaConfig(pop_size=6, max_iter=6, n_rounds=2, label_reps=2), 3)
+    h = hashlib.sha256()
+    for e in res.archive.entries:
+        h.update(repr((e.objectives.makespan, e.objectives.maint_cost,
+                       e.round_index, e.elite_index, e.f_eva,
+                       e.digest)).encode())
+    h.update(repr((res.sim_calls, res.rounds_log, res.idle_types)).encode())
+    assert res.sim_calls == 88
+    assert h.hexdigest() == DPEIA_DIGEST
