@@ -23,7 +23,7 @@ from .model import (
 )
 from .orchestrator import DpeiaConfig, DpeiaResult, ParetoArchive, dpeia, random_search
 from .rng import RngStream
-from .simulate import ONLINE, STATIC, ScheduleTrace, SimConfig, compact, simulate
+from .simulate import ONLINE, STATIC, ScheduleTrace, SimConfig, simulate
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,6 @@ __all__ = [
     "SchedulePlan",
     "ScheduleTrace",
     "SimConfig",
-    "compact",
     "dpeia",
     "random_search",
     "simulate",

@@ -79,9 +79,8 @@ def _sim_one(inst, seed: int, mode: str, det: bool):
     idle_types = _pilot_idle_types(inst, master)
     chrom = random_chromosome(inst, idle_types, master.substream(NS_INIT, 1),
                               GeneBounds())
-    counter = [0]
-    hook = make_rescheduler(30, counter) if mode == ONLINE else None
-    cfg = SimConfig(mode=mode, det=det, rescheduler=hook, counter=counter)
+    hook = make_rescheduler(30) if mode == ONLINE else None
+    cfg = SimConfig(mode=mode, det=det, rescheduler=hook)
     return simulate(inst, decode(chrom, inst), master.substream(NS_ONLINE, 0, 0),
                     cfg)
 

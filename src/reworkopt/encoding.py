@@ -11,7 +11,7 @@ preventive cap n_u.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import IncapableMachineError, ProblemInstance
 from .rng import RngStream
@@ -45,9 +45,6 @@ class Chromosome:
         n = inst.n_jobs
         return inst.jobs[slot].type if slot < n else self.idle_types[slot - n]
 
-    def slot_is_idle(self, inst: ProblemInstance, slot: int) -> bool:
-        return slot >= inst.n_jobs
-
 
 @dataclass
 class GeneBounds:
@@ -63,21 +60,15 @@ class GeneBounds:
 class SchedulePlan:
     """A decoded chromosome: per-machine slot sequences.
 
-    starts is None for a tight plan (every slot begins as soon as its
-    machine frees up); an explicit map pins earliest start times.
+    The plan is tight: every slot may start as soon as its machine frees
+    up, and the simulator decides when it actually does.
     """
 
     order: dict[int, list[int]]     # machine id -> slot ids in sequence
     chrom: Chromosome
-    starts: dict[int, float] | None = None
 
     def machine_of(self, slot: int) -> int:
         return self.chrom.assign[slot]
-
-    def copy(self) -> "SchedulePlan":
-        return SchedulePlan({m: list(s) for m, s in self.order.items()},
-                            self.chrom.copy(),
-                            None if self.starts is None else dict(self.starts))
 
 
 def random_chromosome(inst: ProblemInstance, idle_types: tuple[int, ...],

@@ -12,9 +12,9 @@ pool, so the returned plan never scores below it.
 from __future__ import annotations
 
 from ._kernel import shared_draws
-from .encoding import planned_starts  # noqa: F401  (re-exported surface)
+from .encoding import planned_starts
 from .model import ProblemInstance
-from .rng import NS_SEARCH, RngStream
+from .rng import NS_SEARCH
 from .simulate import (RescheduleContext, ScheduleTrace, append_copies,
                        fill_idle_slots, fitness_resched, simulate_suffix)
 

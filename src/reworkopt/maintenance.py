@@ -154,19 +154,3 @@ def pm_suspension_check(n_gain: int, n_c: int, t_c: float, c_c: float,
             f"life cycle stats not usable yet: n={n_c} t={t_c} c={c_c}")
     threshold = min(t_pm_full / t_c, c_pm_full / c_c)
     return n_gain / n_c < threshold
-
-
-def count_pms_since_cm(events: list[MaintenanceEvent], machine_id: int,
-                       t: float) -> int:
-    """Preventive actions on one machine since its last corrective one,
-    counting events that started at or before t.  events must be in
-    chronological order."""
-    n = 0
-    for ev in events:
-        if ev.machine_id != machine_id or ev.time > t:
-            continue
-        if ev.kind == "cm":
-            n = 0
-        elif ev.kind == "pm":
-            n += 1
-    return n

@@ -153,9 +153,6 @@ class ObjectivePair:
                 and (self.makespan < other.makespan
                      or self.maint_cost < other.maint_cost))
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.makespan, self.maint_cost)
-
 
 def _mean_nominals(jobs: list[Job]) -> dict[int, dict[int, float]]:
     acc: dict[int, dict[int, list[float]]] = {}

@@ -47,23 +47,16 @@ def control_param(iteration: int, max_iter: int) -> float:
     return 2.0 * (1.0 - iteration / max_iter)
 
 
-def label_static(inst: ProblemInstance, chrom: Chromosome,
-                 master: RngStream, cfg: PlannerConfig) -> float:
-    """Planning fitness, averaged over replications.
-
-    Replication r draws from the run-wide substream (label, r): every
-    chromosome sees the same worlds, so labels are paired.
-    """
-    return label_static_obj(inst, chrom, master, cfg)[0]
-
-
 def label_static_obj(inst: ProblemInstance, chrom: Chromosome,
                      master: RngStream, cfg: PlannerConfig
                      ) -> tuple[float, tuple[float, float]]:
-    """label_static plus the replication-averaged raw objectives.
+    """Planning fitness and the raw objectives behind it, both averaged
+    over replications.
 
-    Selection keeps the leader of every cost level on the population's
-    own front, and needs the objectives behind each label for that.
+    Replication r draws from the run-wide substream (label, r): every
+    chromosome sees the same worlds, so labels are paired.  Selection
+    keeps the leader of every cost level on the population's own front,
+    and needs the objectives behind each label for that.
     """
     plan = decode(chrom, inst)
     total = 0.0
@@ -160,12 +153,10 @@ def re_operator(parent: Chromosome, pop: list[Individual],
     return child
 
 
-def rebalance(chrom: Chromosome, inst: ProblemInstance, rng: RngStream,
-              max_moves: int | None = None) -> None:
+def rebalance(chrom: Chromosome, inst: ProblemInstance, rng: RngStream) -> None:
     """Move slots off overloaded machines toward the capability-weighted
     mean count.  Only moves that shrink the worst overload are taken, so
     the slot-closure invariant is untouched and the loop terminates."""
-    n = inst.n_jobs
     type_counts: dict[int, int] = {}
     for slot in range(chrom.n_slots):
         t = chrom.slot_type(inst, slot)
@@ -178,8 +169,7 @@ def rebalance(chrom: Chromosome, inst: ProblemInstance, rng: RngStream,
     counts = {m.id: 0 for m in inst.machines}
     for mid in chrom.assign:
         counts[mid] += 1
-    moves = max_moves if max_moves is not None else 2 * chrom.n_slots
-    for _ in range(moves):
+    for _ in range(2 * chrom.n_slots):
         over = max(counts, key=lambda m: (counts[m] - target[m], m))
         dev_over = counts[over] - target[over]
         if dev_over <= 1.0:

@@ -8,12 +8,12 @@ from the wear at that instant, then the job-induced wear lands.  Failure
 the completion that caused it; preventive maintenance is a threshold
 policy with joint grouping and a payoff screen.
 
-Every entry has a release time, the earliest it may start: a start
-pinned by the plan, or, for a rework copy, the trigger time that
-created it.  A machine that ran out of work keeps its frontier below
-the trigger, and without the release a copy placed there would start
-before its original had finished.  The next event is on the machine
-with the earliest max(ready, release), ties to the lowest machine id.
+Every entry has a release time, the earliest it may start: 0 for an
+entry of the plan, the trigger time that created it for a rework copy.
+A machine that ran out of work keeps its frontier below the trigger,
+and without the release a copy placed there would start before its
+original had finished.  The next event is on the machine with the
+earliest max(ready, release), ties to the lowest machine id.
 
 In online execution, quality outcomes are consumed strictly in
 completion-time order (a heap decouples them from the per-machine
@@ -21,9 +21,11 @@ stepping), so rework triggers can never rewrite work that already
 started: a trigger at time T reshuffles only slots starting at or after
 T.  Static runs and suffix projections never rework and keep no heap.
 
-Modes: static execution runs idle placeholders as time reservations and
-never reworks; online execution skips unfilled placeholders and hands
-rework triggers to a pluggable rescheduler.
+Run modes: STATIC runs idle placeholders as time reservations and never
+reworks (labels, previews, the pilot); ONLINE skips unfilled
+placeholders and hands rework triggers to a pluggable rescheduler;
+SUFFIX, internal to suffix projections, skips placeholders and never
+reworks.
 
 Summary-only runs (SimConfig.summary, used by planner labels; suffix
 projections always run so) track makespan, maintenance cost and the
@@ -36,10 +38,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import _kernel
-from .encoding import Chromosome, SchedulePlan, decode, planned_starts
+from .encoding import Chromosome, SchedulePlan, decode
 from .maintenance import (MachineState, MaintenanceEvent, cm_required,
                           corrective_maintenance, group_pms, imperfect_pm,
                           lifecycle_stats_defined, pm_due,
@@ -49,13 +51,14 @@ from .rng import NS_ENV, NS_JOB, NS_PILOT, NS_PROP2, NS_RESCHED, RngStream
 
 STATIC = "static"
 ONLINE = "online"
+SUFFIX = "suffix"
 
 
 class _Ent:
     """Runtime slot entry: a real job, a rework copy, or an idle space.
 
-    release is the earliest time the entry may start: a pinned start of
-    the plan, or the trigger time of a rework copy (a copy exists only
+    release is the earliest time the entry may start: 0 for an entry of
+    the plan, the trigger time for a rework copy (a copy exists only
     once its origin has finished)."""
 
     __slots__ = ("eid", "slot", "job", "idle_type", "release")
@@ -123,20 +126,6 @@ class ReschedulePoint:
 
 
 @dataclass
-class RoundStats:
-    """One inter-trigger segment of the horizon."""
-
-    t0: float
-    t1: float
-    maint_cost: float
-    q_sum: int
-
-    @property
-    def span(self) -> float:
-        return self.t1 - self.t0
-
-
-@dataclass
 class ScheduleTrace:
     mode: str
     det: bool
@@ -148,20 +137,6 @@ class ScheduleTrace:
     makespan: float
     maint_cost: float
     q_count: int
-
-    def rounds(self) -> list[RoundStats]:
-        """Horizon segments between rework triggers (always >= 1)."""
-        cuts = [p.time for p in self.resched_points]
-        bounds = [0.0] + cuts + [max(self.makespan, cuts[-1] if cuts else 0.0)]
-        out = []
-        for i in range(len(bounds) - 1):
-            t0, t1 = bounds[i], bounds[i + 1]
-            cost = sum(ev.cost for ev in self.maint_events
-                       if (ev.time > t0 or i == 0 and ev.time == 0.0) and ev.time <= t1)
-            q = sum(1 for ev in self.job_events
-                    if ev.qualified and (ev.completion > t0 or i == 0) and ev.completion <= t1)
-            out.append(RoundStats(t0, t1, cost, q))
-        return out
 
 
 @dataclass
@@ -178,12 +153,11 @@ class RescheduleContext:
     det: bool
     prop2: bool
     rng: RngStream                           # candidate-evaluation stream root
-    baseline_starts: dict[int, float]        # published timetable of the plan
 
 
 @dataclass
 class SimConfig:
-    mode: str = STATIC
+    mode: str = STATIC                       # STATIC, ONLINE; SUFFIX internal
     det: bool = False
     prop2: bool = True
     rescheduler: "object" = None             # callable(ctx) -> (queues, f_r)
@@ -193,45 +167,33 @@ class SimConfig:
 
 def _entities_from_plan(plan: SchedulePlan, inst: ProblemInstance) -> dict[int, list[_Ent]]:
     n = inst.n_jobs
-    starts = plan.starts or {}
     queues: dict[int, list[_Ent]] = {}
     for mid, slots in plan.order.items():
         row = []
         for s in slots:
             if s < n:
-                row.append(_Ent(s, s, inst.jobs[s], None, starts.get(s, 0.0)))
+                row.append(_Ent(s, s, inst.jobs[s], None))
             else:
-                row.append(_Ent(s, s, None, plan.chrom.idle_types[s - n],
-                                starts.get(s, 0.0)))
+                row.append(_Ent(s, s, None, plan.chrom.idle_types[s - n]))
         queues[mid] = row
     return queues
 
 
 class _Sim:
-    """One simulation run; see simulate() for the public entry."""
+    """One run in cfg.mode (see simulate()).  Rework copies take entity ids
+    from chrom.n_slots and job ids from n_jobs + chrom.n_slots on."""
 
     def __init__(self, inst: ProblemInstance, queues: dict[int, list[_Ent]],
                  states: dict[int, MachineState], chrom: Chromosome,
-                 root: RngStream, det: bool, prop2: bool,
-                 skip_idle: bool, rework: bool,
-                 rescheduler=None,
-                 baseline_starts: dict[int, float] | None = None,
-                 eid_base: int = 0, copy_id_base: int = 0,
-                 round_base: int = 0, counter: list | None = None,
-                 summary: bool = False):
+                 root: RngStream, cfg: SimConfig):
         self.inst = inst
         self.queues = queues
         self.ptr = {mid: 0 for mid in queues}
         self.states = states
         self.chrom = chrom
         self.root = root
-        self.det = 1 if det else 0
-        self.prop2 = prop2
-        self.skip_idle = skip_idle
-        self.rework = rework
-        self.summary = summary
-        self.rescheduler = rescheduler
-        self.baseline_starts = baseline_starts or {}
+        self.cfg = cfg
+        self.det = 1 if cfg.det else 0
         self.env = {mid: root.substream(NS_ENV, mid) for mid in queues}
         # entity eid draws with key job_root.subkey(eid)
         self.job_root = root.substream(NS_JOB)
@@ -256,14 +218,14 @@ class _Sim:
         self.window_nc = 0
         self.window_copy_jobs: list[Job] = []
         self.copied: set[int] = set()
-        self.next_eid = eid_base
-        self.next_copy_id = copy_id_base
-        self.round_index = round_base
+        self.next_eid = chrom.n_slots
+        self.next_copy_id = inst.n_jobs + chrom.n_slots
+        self.round_index = 0
         self.next_gid = 0
         self.prop2_checks: dict[int, int] = {mid: 0 for mid in queues}
         self.pending_trigger: float | None = None
-        if counter is not None:
-            counter[0] += 1
+        if cfg.counter is not None:
+            cfg.counter[0] += 1
 
     # -- helpers -------------------------------------------------------
 
@@ -354,7 +316,7 @@ class _Sim:
         """Screening and grouping of a due preventive action.  Returns
         True if any preventive action was performed (frontiers moved)."""
         g = self.inst.globals
-        if self.prop2 and self._suspend_if_unprofitable(mid):
+        if self.cfg.prop2 and self._suspend_if_unprofitable(mid):
             return False
         window = self.chrom.psi * max(m.t_pm_full for m in self.inst.machines)
         due = [(mid, t)]
@@ -367,7 +329,7 @@ class _Sim:
             if not pm_due(st2, self.chrom.zeta, self.chrom.n_u,
                           self.inst.machine(mid2)):
                 continue
-            if self.prop2 and self._suspend_if_unprofitable(mid2):
+            if self.cfg.prop2 and self._suspend_if_unprofitable(mid2):
                 continue
             due.append((mid2, st2.ready))
         machines = {m.id: m for m in self.inst.machines}
@@ -406,11 +368,10 @@ class _Sim:
             inst=self.inst, trigger_time=at, round_index=self.round_index,
             states={mid: s.copy() for mid, s in self.states.items()},
             pending=pending, copies=copies, chrom=self.chrom, det=bool(self.det),
-            prop2=self.prop2,
-            rng=self.root.substream(NS_RESCHED, self.round_index),
-            baseline_starts=self.baseline_starts)
-        if self.rescheduler is not None:
-            queues, f_r = self.rescheduler(ctx)
+            prop2=self.cfg.prop2,
+            rng=self.root.substream(NS_RESCHED, self.round_index))
+        if self.cfg.rescheduler is not None:
+            queues, f_r = self.cfg.rescheduler(ctx)
         else:
             queues, f_r = fill_idle_slots(ctx), None
         for mid, row in queues.items():
@@ -433,7 +394,7 @@ class _Sim:
     def run(self) -> None:
         while True:
             self._advance()
-            if self.pending_trigger is None and self.rework:
+            if self.pending_trigger is None and self.cfg.mode == ONLINE:
                 self._drain(math.inf)
             if self.pending_trigger is None:
                 return
@@ -446,8 +407,9 @@ class _Sim:
         queues, ptr, states = self.queues, self.ptr, self.states
         inst, chrom, det, env = self.inst, self.chrom, self.det, self.env
         machine_args, type_args = self.machine_args, self.type_args
-        skip_idle, summary, job_root = self.skip_idle, self.summary, self.job_root
-        heap = self.heap if self.rework else None
+        skip_idle, summary = self.cfg.mode != STATIC, self.cfg.summary
+        job_root = self.job_root
+        heap = self.heap if self.cfg.mode == ONLINE else None
         while True:
             # frontier: earliest effective start, ties to the lowest id
             mid = -1
@@ -523,9 +485,9 @@ class _Sim:
         """Latest job completion, or default when no job ran."""
         return self.end if self.end != -math.inf else default
 
-    def trace(self, mode: str) -> ScheduleTrace:
+    def trace(self) -> ScheduleTrace:
         cost = sum(ev.cost for ev in self.maint_events)
-        return ScheduleTrace(mode, bool(self.det), self.job_events,
+        return ScheduleTrace(self.cfg.mode, bool(self.det), self.job_events,
                              self.idle_events, self.maint_events,
                              self.resched_points, self.states,
                              self.span_end(0.0), cost, self.q_count)
@@ -535,6 +497,18 @@ def fill_idle_slots(ctx: RescheduleContext) -> dict[int, list[_Ent]]:
     """Default placement of rework copies: earliest pending idle slots of
     capable machines first, leftovers appended to the least loaded
     capable machine."""
+    return _place_copies(ctx, fill=True)
+
+
+def append_copies(ctx: RescheduleContext) -> dict[int, list[_Ent]]:
+    """Right-shift fallback: keep the pending plan untouched and push the
+    copies to the tail of the least loaded capable machine."""
+    return _place_copies(ctx, fill=False)
+
+
+def _place_copies(ctx: RescheduleContext, fill: bool) -> dict[int, list[_Ent]]:
+    """The pending queues with the rework copies placed, each at the tail
+    of the least loaded capable machine unless fill finds it an idle slot."""
     queues = {mid: list(row) for mid, row in ctx.pending.items()}
     loads = {mid: sum(e.job.nominal_times[mid] for e in row if not e.is_idle)
              for mid, row in queues.items()}
@@ -542,7 +516,7 @@ def fill_idle_slots(ctx: RescheduleContext) -> dict[int, list[_Ent]]:
     for copy in ctx.copies:
         spots = []
         for mid, row in queues.items():
-            if mid not in copy.job.nominal_times:
+            if not fill or mid not in copy.job.nominal_times:
                 continue
             for pos, ent in enumerate(row):
                 if ent.is_idle and ent.idle_type == copy.job.type:
@@ -562,68 +536,37 @@ def fill_idle_slots(ctx: RescheduleContext) -> dict[int, list[_Ent]]:
     return queues
 
 
-def append_copies(ctx: RescheduleContext) -> dict[int, list[_Ent]]:
-    """Right-shift fallback: keep the pending plan untouched and push the
-    copies to the tail of the least loaded capable machine."""
-    queues = {mid: list(row) for mid, row in ctx.pending.items()}
-    loads = {mid: sum(e.job.nominal_times[mid] for e in row if not e.is_idle)
-             for mid, row in queues.items()}
-    for copy in ctx.copies:
-        cands = [mid for mid in queues if mid in copy.job.nominal_times]
-        mid = min(cands, key=lambda m: (loads[m], m))
-        queues[mid].append(copy)
-        loads[mid] += copy.job.nominal_times[mid]
-    return queues
-
-
 def simulate(inst: ProblemInstance, plan: SchedulePlan, root: RngStream,
              cfg: SimConfig | None = None) -> ScheduleTrace:
     """Execute a plan.  See the module docstring for the semantics."""
-    cfg = cfg or SimConfig()
-    queues = _entities_from_plan(plan, inst)
     states = {m.id: MachineState(m.id, m.w0) for m in inst.machines}
-    online = cfg.mode == ONLINE
-    sim = _Sim(inst, queues, states, plan.chrom, root, cfg.det, cfg.prop2,
-               skip_idle=online, rework=online,
-               rescheduler=cfg.rescheduler,
-               baseline_starts=planned_starts(plan, inst) if online else None,
-               eid_base=plan.chrom.n_slots,
-               copy_id_base=inst.n_jobs + plan.chrom.n_slots,
-               counter=cfg.counter, summary=cfg.summary)
+    sim = _Sim(inst, _entities_from_plan(plan, inst), states, plan.chrom,
+               root, cfg or SimConfig())
     sim.run()
-    return sim.trace(cfg.mode)
+    return sim.trace()
 
 
 def simulate_suffix(ctx: RescheduleContext, queues: dict[int, list[_Ent]],
-                    eval_rng: RngStream, counter: list | None = None
-                    ) -> tuple[float, float, int]:
+                    eval_rng: RngStream) -> tuple[float, float, int]:
     """Project the rest of the horizon under a candidate suffix plan.
 
-    Runs the same event loop from the snapshot states with rework
-    disabled, on the candidate-evaluation stream family so that all
-    candidates of one trigger share draws entity for entity.
+    Runs the same event loop in SUFFIX mode from the snapshot states,
+    on the candidate-evaluation stream family so that all candidates of
+    one trigger share draws entity for entity.  A SUFFIX run never
+    reschedules, so it only reads the queues.
 
     Returns (suffix span from the trigger, maintenance cost, qualified).
     """
     states = {mid: s.copy() for mid, s in ctx.states.items()}
-    sim = _Sim(ctx.inst, {mid: list(row) for mid, row in queues.items()},
-               states, ctx.chrom, eval_rng, ctx.det, ctx.prop2,
-               skip_idle=True, rework=False, counter=counter, summary=True)
+    sim = _Sim(ctx.inst, queues, states, ctx.chrom, eval_rng,
+               SimConfig(mode=SUFFIX, det=ctx.det, prop2=ctx.prop2,
+                         summary=True))
     sim.run()
     cost = sum(ev.cost for ev in sim.maint_events)
     return sim.span_end(ctx.trigger_time) - ctx.trigger_time, cost, sim.q_count
 
 
-def compact(plan: SchedulePlan) -> SchedulePlan:
-    """Drop explicit start times: every slot begins as soon as its
-    machine frees up.  Left-shifting never hurts the deterministic
-    makespan because waiting only adds environment wear."""
-    return SchedulePlan({m: list(s) for m, s in plan.order.items()},
-                        plan.chrom, None)
-
-
-def idle_space_count(inst: ProblemInstance, rng: RngStream,
-                     chrom_defaults: Chromosome | None = None) -> dict[int, int]:
+def idle_space_count(inst: ProblemInstance, rng: RngStream) -> dict[int, int]:
     """Idle spaces to reserve per type, from one nominal-plan pilot run.
 
     The pilot spreads jobs round-robin over capable machines in id
@@ -640,10 +583,7 @@ def idle_space_count(inst: ProblemInstance, rng: RngStream,
         assign.append(caps[rr.get(job.type, 0) % len(caps)])
         rr[job.type] = rr.get(job.type, 0) + 1
         key.append((i + 1.0) / (inst.n_jobs + 1.0))
-    chrom = chrom_defaults.copy() if chrom_defaults else Chromosome(
-        assign, key, ())
-    chrom.assign, chrom.key, chrom.idle_types = assign, key, ()
-    plan = decode(chrom, inst)
+    plan = decode(Chromosome(assign, key, ()), inst)
     trace = simulate(inst, plan, rng.substream(NS_PILOT),
                      SimConfig(mode=STATIC))
     bad: dict[int, int] = {}
@@ -658,15 +598,12 @@ def idle_space_count(inst: ProblemInstance, rng: RngStream,
 
 
 def fitness_static(trace: ScheduleTrace) -> float:
-    """Planning fitness: squared qualified count against cost and span."""
-    if trace.makespan <= 0.0:
-        return 0.0
-    return (trace.q_count * trace.q_count) / (max(trace.maint_cost, 1.0)
-                                              * trace.makespan)
+    """Planning fitness: fitness_resched over the whole run."""
+    return fitness_resched(trace.q_count, trace.maint_cost, trace.makespan)
 
 
 def fitness_resched(q_sum: int, maint_cost: float, span: float) -> float:
-    """Rescheduling fitness of one suffix projection."""
+    """Rescheduling fitness: squared qualified count over cost x span."""
     if span <= 0.0:
         return 0.0
     return (q_sum * q_sum) / (max(maint_cost, 1.0) * span)

@@ -104,8 +104,6 @@ def test_slot_type_and_idle_flag():
     ch = Chromosome(assign=[0, 0], key=[0.1, 0.9], idle_types=(0,))
     assert ch.slot_type(inst, 0) == 0
     assert ch.slot_type(inst, 1) == 0
-    assert not ch.slot_is_idle(inst, 0)
-    assert ch.slot_is_idle(inst, 1)
 
 
 def test_planned_starts_tight_timetable():

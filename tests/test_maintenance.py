@@ -6,9 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reworkopt.instances import base_machines, toy_instance
-from reworkopt.maintenance import (MachineState, MaintenanceEvent,
-                                   UndefinedLifecycleStats, cm_required,
-                                   corrective_maintenance, count_pms_since_cm,
+from reworkopt.maintenance import (MachineState, UndefinedLifecycleStats,
+                                   cm_required, corrective_maintenance,
                                    group_pms, imperfect_pm, pm_due,
                                    pm_suspension_check)
 
@@ -122,18 +121,3 @@ def test_suspension_implies_worse_payoff_rate(n_gain, n_c, t_c, c_c, t_pm, c_pm)
         after = (n_c + n_gain) ** 2 / ((t_c + t_pm) * (c_c + c_pm))
         assert after < before
 
-
-def _pm(mid, t):
-    return MaintenanceEvent("pm", mid, t, 1.0, 10.0)
-
-
-def _cm(mid, t):
-    return MaintenanceEvent("cm", mid, t, 4.0, 50.0)
-
-
-def test_count_pms_since_last_failure():
-    evs = [_pm(0, 5.0), _cm(0, 10.0), _pm(0, 15.0)]
-    assert count_pms_since_cm(evs, 0, 20.0) == 1
-    assert count_pms_since_cm([_pm(0, 5.0), _pm(0, 8.0)], 0, 6.0) == 1
-    assert count_pms_since_cm(evs, 1, 20.0) == 0
-    assert count_pms_since_cm(evs, 0, 4.0) == 0

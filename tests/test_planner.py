@@ -8,7 +8,7 @@ from reworkopt.model import (GlobalParams, Job, MachineParams, ProblemInstance,
                              QualitySpec)
 from reworkopt.planner import (Individual, PlannerConfig, _roulette,
                                busiest_idlest_move, control_param, de_operator,
-                               det_preview, init_population, label_static,
+                               det_preview, init_population, label_static_obj,
                                mutate_genes, plan, prop1_swap, re_operator,
                                rebalance, similarity)
 from reworkopt.rng import NS_INIT, RngStream
@@ -250,8 +250,8 @@ def test_labels_are_paired_and_reproducible():
     cfg = PlannerConfig(pop_size=4, label_reps=2, prop2=False)
     ch = random_chromosome(inst, (0,), RngStream.from_seed(3))
     master = RngStream.from_seed(42)
-    a = label_static(inst, ch, master, cfg)
-    b = label_static(inst, ch, RngStream.from_seed(42), cfg)
+    a = label_static_obj(inst, ch, master, cfg)
+    b = label_static_obj(inst, ch, RngStream.from_seed(42), cfg)
     assert a == b
 
 

@@ -10,7 +10,7 @@ from reworkopt.model import (GlobalParams, Job, MachineParams, ObjectivePair,
                              ProblemInstance, QualitySpec)
 from reworkopt.rng import RngStream
 from reworkopt.simulate import (ONLINE, STATIC, ScheduleTrace, SimConfig,
-                                compact, fitness_eval, fitness_resched,
+                                fitness_eval, fitness_resched,
                                 fitness_static, idle_space_count, objectives,
                                 simulate)
 
@@ -178,20 +178,6 @@ def test_high_threshold_never_triggers():
     assert len(tr.job_events) == 4
 
 
-def test_rounds_partition_the_horizon_at_triggers():
-    inst = _trigger_inst([0, 0, 1, 1])
-    ch = _chrom([0] * 4, [0.1, 0.2, 0.3, 0.4], thr_r=0.5)
-    tr = _run(inst, ch, mode=ONLINE, prop2=False)
-    rounds = tr.rounds()
-    assert len(rounds) == 2
-    assert (rounds[0].t0, rounds[0].t1) == (0.0, 4.0)
-    assert (rounds[1].t0, rounds[1].t1) == (4.0, 6.0)
-    assert rounds[0].span == 4.0
-    assert rounds[0].q_sum == 2
-    assert rounds[1].q_sum == 0
-    assert sum(r.maint_cost for r in rounds) == tr.maint_cost == 0.0
-
-
 def test_copy_fills_a_pending_idle_slot_of_matching_type():
     jobs = [Job(0, 1, {0: 1.0, 1: 1.0}),   # fails at t=1, triggers
             Job(1, 0, {1: 3.0}),
@@ -259,34 +245,6 @@ def test_simulation_is_reproducible_per_seed():
     c = _digest(_run(inst, ch, mode=STATIC, seed=6))
     assert a == b
     assert a != c
-
-
-def test_compact_drops_pinned_starts_only():
-    inst = toy_instance(8, seed=0)
-    ch = random_chromosome(inst, (0,), RngStream.from_seed(2))
-    plan = decode(ch, inst)
-    plan.starts = {s: 3.0 for seq in plan.order.values() for s in seq}
-    tight = compact(plan)
-    assert tight.starts is None
-    assert tight.order == plan.order
-    assert tight.chrom.digest() == plan.chrom.digest()
-    assert compact(tight).order == tight.order
-
-
-def test_compact_never_slower_under_deterministic_replay():
-    inst = toy_instance(10, seed=3)
-    rng = RngStream.from_seed(9)
-    for k in range(20):
-        ch = random_chromosome(inst, (0, 1), rng.substream(k))
-        plan = decode(ch, inst)
-        delay = rng.substream(k, 1)
-        plan.starts = {s: 6.0 * delay.uniform()
-                       for seq in plan.order.values() for s in seq}
-        slow = simulate(inst, plan, RngStream.from_seed(k),
-                        SimConfig(mode=STATIC, det=True))
-        fast = simulate(inst, compact(plan), RngStream.from_seed(k),
-                        SimConfig(mode=STATIC, det=True))
-        assert fast.makespan <= slow.makespan + 1e-12
 
 
 def test_idle_reservation_counts_round_up_per_capable_machine():
