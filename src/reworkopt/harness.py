@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass
 from . import __version__, storage
 from .instances import generate_instance
 from .metrics import bounds_of, hypervolume, igd, normalize, rpd
-from .model import require_valid
 from .orchestrator import DpeiaConfig, dpeia
 
 
@@ -62,9 +61,8 @@ def resolve_instance(cfg: ExperimentConfig):
     """The run's instance, validated (InvalidInstanceError otherwise)."""
     if cfg.instance_path is not None:
         return storage.load_instance(cfg.instance_path)
-    return require_valid(generate_instance(
-        cfg.n_jobs, cfg.gen_seed, sigma_q=cfg.sigma_q,
-        coeff_set=cfg.coeff_set, type_mix=cfg.type_mix))
+    return generate_instance(cfg.n_jobs, cfg.gen_seed, sigma_q=cfg.sigma_q,
+                             coeff_set=cfg.coeff_set, type_mix=cfg.type_mix)
 
 
 def seed_dir(outdir, seed: int) -> str:

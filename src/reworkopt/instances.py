@@ -4,18 +4,21 @@ generated instances for tests.
 The benchmark table carries two interchangeable quality-response
 coefficient sets.  The "table" set has wear-to-quality gains around 90,
 which pushes every output far past its conformity band as soon as wear
-is nonzero; the "alternate" set (gains around 0.01) keeps first-pass
-yield in a realistic range and is the default.  Both stay selectable so
-either behavior can be reproduced from the same file.
+is nonzero.  The "alternate" set (gains around 0.01) is the default,
+but yield does not depend on the plan there either: over 5 random
+plans on generate_instance(100, 1) with sigma_q 0.03 or 0.06, type 0
+conformed 250 of 250 times and type 1 0 of 250.  Both stay selectable
+so either behavior can be reproduced from the same file.
 
 Machine ids are 0-based throughout.
 """
 
 from __future__ import annotations
 
-import math
+from dataclasses import replace
 
-from .model import GlobalParams, Job, MachineParams, ProblemInstance, QualitySpec
+from .model import (GlobalParams, Job, MachineParams, ProblemInstance,
+                    QualitySpec, require_valid)
 from .rng import RngStream
 
 _NS_JOBGEN = 10
@@ -95,7 +98,8 @@ def generate_instance(n_jobs: int, seed: int, sigma_q: float = 0.06,
 
     Types alternate to hit the requested mix; each job draws an
     independent nominal time per capable machine from its type's
-    uniform range.
+    uniform range.  Raises InvalidInstanceError for a sigma_q it cannot
+    serve: negative, or so small that the quality interval is a point.
     """
     machines = base_machines(coeff_set)
     root = RngStream.from_seed(seed)
@@ -111,11 +115,11 @@ def generate_instance(n_jobs: int, seed: int, sigma_q: float = 0.06,
                               lo=TYPE_SL[t] - 3.0 * sigma_q,
                               hi=TYPE_SL[t] + 3.0 * sigma_q)
                for t in (0, 1)}
-    return ProblemInstance(
-        jobs, machines, quality, BASE_GLOBALS,
+    return require_valid(ProblemInstance(
+        jobs, machines, quality, replace(BASE_GLOBALS),
         meta={"kind": "generated", "n_jobs": n_jobs, "seed": seed,
               "sigma_q": sigma_q, "coeff_set": coeff_set,
-              "type_mix": type_mix})
+              "type_mix": type_mix}))
 
 
 # -- small instances for tests ----------------------------------------

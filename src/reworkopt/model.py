@@ -11,7 +11,7 @@ maintenance cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 # least normal mass a truncated input-quality interval must hold: draws
 # are rejected outside it, so a thin interval costs about 1/mass tries
@@ -179,6 +179,15 @@ def require_valid(inst: ProblemInstance) -> ProblemInstance:
     return inst
 
 
+def _finite(rec, where: str, errs: list[str]) -> bool:
+    """Whether every field of a parameter record is finite; if not, say
+    which in errs.  A NaN passes every range test, so it is caught first."""
+    bad = [f.name for f in fields(rec) if not math.isfinite(getattr(rec, f.name))]
+    if bad:
+        errs.append(f"{where}non-finite {', '.join(bad)}")
+    return not bad
+
+
 def validate_instance(inst: ProblemInstance) -> list[str]:
     """Collect invariant violations; an empty list means the instance is
     usable."""
@@ -196,7 +205,9 @@ def validate_instance(inst: ProblemInstance) -> list[str]:
         for mid, o in j.nominal_times.items():
             if mid not in mids:
                 errs.append(f"job {j.id}: unknown machine {mid}")
-            if not o > 0:
+            if not math.isfinite(o):
+                errs.append(f"job {j.id}: non-finite nominal time on machine {mid}")
+            elif not o > 0:
                 errs.append(f"job {j.id}: nonpositive nominal time on machine {mid}")
         if j.type not in inst.quality:
             errs.append(f"job {j.id}: no quality spec for type {j.type}")
@@ -205,10 +216,15 @@ def validate_instance(inst: ProblemInstance) -> list[str]:
             errs.append(f"job {j.id}: origin {j.origin} not in instance")
     # an idle placeholder of type t may sit on any machine capable of t
     for t, mid in sorted({(j.type, mid) for j in inst.jobs
-                          for mid in j.nominal_times
-                          if mid not in inst.idle_nominal.get(j.type, ())}):
-        errs.append(f"idle type {t}: no nominal time on machine {mid}")
+                          for mid in j.nominal_times}):
+        o = inst.idle_nominal.get(t, {}).get(mid)
+        if o is None:
+            errs.append(f"idle type {t}: no nominal time on machine {mid}")
+        elif not math.isfinite(o):
+            errs.append(f"idle type {t}: non-finite nominal time on machine {mid}")
     for m in inst.machines:
+        if not _finite(m, f"machine {m.id}: ", errs):
+            continue
         if not (0.0 <= m.w0 < m.cap):
             errs.append(f"machine {m.id}: initial wear {m.w0} outside [0, cap)")
         if m.sigma_minus < 0 or m.sigma_plus < 0:
@@ -219,6 +235,8 @@ def validate_instance(inst: ProblemInstance) -> list[str]:
             if getattr(m, name) < 0:
                 errs.append(f"machine {m.id}: negative {name}")
     for t, q in inst.quality.items():
+        if not _finite(q, f"type {t}: ", errs):
+            continue
         if not q.tol > 0:
             errs.append(f"type {t}: nonpositive tolerance")
         if not q.sigma_q >= 0:
@@ -230,6 +248,8 @@ def validate_instance(inst: ProblemInstance) -> list[str]:
                         f"less than {MIN_QUALITY_MASS} of the input "
                         "distribution")
     g = inst.globals
+    if not _finite(g, "globals: ", errs):
+        return errs
     if g.eta < 0:
         errs.append("eta must be nonnegative")
     if not (0.0 < g.theta <= 1.0):

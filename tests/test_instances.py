@@ -4,7 +4,7 @@ from reworkopt.instances import (BASE_GLOBALS, TYPE_MACHINES, TYPE_RANGES,
                                  TYPE_SL, TYPE_XI, audit_instance,
                                  base_machines, generate_instance, oracle_toy,
                                  toy_instance)
-from reworkopt.model import validate_instance
+from reworkopt.model import InvalidInstanceError, validate_instance
 
 
 def test_benchmark_machine_zero_fields():
@@ -96,6 +96,22 @@ def test_generated_type_mix_extremes():
     assert all(j.type == 1 for j in generate_instance(8, 0, type_mix=0.0).jobs)
     mixed = generate_instance(10, 0, type_mix=0.3)
     assert sum(1 for j in mixed.jobs if j.type == 0) == 3
+
+
+def test_generator_refuses_what_it_cannot_serve():
+    # a sigma_q this small collapses the quality interval to a point,
+    # which the truncated input-quality draw could never hit
+    with pytest.raises(InvalidInstanceError, match="quality interval"):
+        generate_instance(8, 0, 2.2e-313, "table")
+    with pytest.raises(InvalidInstanceError, match="negative sigma_q"):
+        generate_instance(8, 0, -0.1)
+    assert generate_instance(8, 0, 0.0).quality[0].sigma_q == 0.0
+
+
+def test_generated_instances_do_not_share_parameters():
+    a = generate_instance(4, 0)
+    a.globals.eta = 1.0
+    assert generate_instance(4, 0).globals.eta == BASE_GLOBALS.eta == 0.2
 
 
 def test_generated_instances_are_seeded():

@@ -94,6 +94,42 @@ def test_validate_flags_quality_intervals_draws_would_rarely_hit():
     assert validate_instance(inst)
 
 
+def _set_machine_c_cm(inst, x):
+    inst.machines[1].c_cm = x
+
+
+def _set_sigma_q(inst, x):
+    inst.quality[0].sigma_q = x
+
+
+def _set_eta(inst, x):
+    inst.globals.eta = x
+
+
+def _set_nominal(inst, x):
+    inst.jobs[2].nominal_times[0] = x
+
+
+def _set_idle_nominal(inst, x):
+    inst.idle_nominal[1][1] = x
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("setter,message", [
+    (_set_machine_c_cm, "machine 1: non-finite c_cm"),
+    (_set_sigma_q, "type 0: non-finite sigma_q"),
+    (_set_eta, "globals: non-finite eta"),
+    (_set_nominal, "job 2: non-finite nominal time on machine 0"),
+    (_set_idle_nominal, "idle type 1: non-finite nominal time on machine 1"),
+])
+def test_validate_rejects_non_finite_parameters(setter, message, bad):
+    # a NaN passes every range test (x < 0 is false), so each field kind
+    # is checked for finiteness first and reported by name, once
+    inst = toy_instance()
+    setter(inst, bad)
+    assert validate_instance(inst) == [message]
+
+
 def test_require_valid_names_every_violation():
     assert require_valid(toy_instance()) is not None
     inst = _tiny([Job(0, 0, {0: 0.0})], [_machine(w0=0.9, cap=0.5)])

@@ -91,6 +91,17 @@ def test_loading_validates_the_instance(tmp_path):
 
 
 
+def test_loading_rejects_a_nan_parameter(tmp_path):
+    # with eta = nan every job runs at nan speed and the archive
+    # collapses to a meaningless (0.0, 0) point
+    text = dump_instance(generate_instance(20, 0))
+    assert text.count("\neta = 0.2\n") == 1
+    p = tmp_path / "nan_eta.txt"
+    p.write_text(text.replace("\neta = 0.2\n", "\neta = nan\n"))
+    with pytest.raises(InvalidInstanceError, match="globals: non-finite eta"):
+        load_instance(p)
+
+
 def test_loading_requires_an_idle_time_for_every_capable_machine(tmp_path):
     # without it an idle placeholder on machine 0 has no processing time
     text = dump_instance(toy_instance(6, seed=0))
