@@ -4,7 +4,7 @@ Verbs: generate (instance files), run (seeded experiments), report
 (recompute indicators from stored archives), gantt (render one seeded
 simulation), pareto (pool per-seed archives), oracle (brute-force front
 and feasibility check on small instances).  Kernel backends are compared
-by benchmarks/bench_kernels.py.
+by perfbench/run.py, once as is and once with REWORKOPT_PURE=1.
 Every verb derives all randomness from its --seed / --seeds flags.
 """
 

@@ -101,6 +101,6 @@ def test_oracle_verb_checks_its_own_front(capsys):
 def test_parser_rejects_unknown_verb():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["conquer"])
-    # backends are compared by benchmarks/bench_kernels.py, not the CLI
+    # backends are compared by perfbench/run.py, not the CLI
     with pytest.raises(SystemExit):
         build_parser().parse_args(["bench"])
