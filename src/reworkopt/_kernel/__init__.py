@@ -5,9 +5,9 @@ twin is the fallback and the reference.  Set REWORKOPT_PURE=1 to force
 the fallback (used by the parity tests and the benchmark).
 
 ``shared_draws()`` opens a scope in which the pure kernel computes each
-repeated (key, ctr) draw once (see ``pure``); callers that replay the
-same worlds many times open it.  The compiled kernel has no such memo,
-so there it is a no-op context.
+repeated draw once, a job's job-stream draws included (see ``pure``);
+callers open it through ``rng.shared_draws()``, which also shares job
+keys.  The compiled kernel has no such memo, so there it is a no-op.
 """
 
 import contextlib

@@ -1,9 +1,9 @@
 """Pure-Python kernel: counter-based RNG and the per-event shop-floor math.
 
 This module is the reference implementation; the compiled twin in
-``_core.pyx`` mirrors it statement by statement.  Every arithmetic
-expression here is a contract: evaluation order must not change, or the
-two backends stop being bit-identical.
+``_core.pyx`` mirrors its arithmetic expression by expression.  Every
+arithmetic expression here is a contract: evaluation order must not
+change, or the two backends stop being bit-identical.
 
 RNG scheme: splitmix64-style hash of (key, counter).  Each uniform draw
 consumes one counter tick; derived draws consume a deterministic (data
@@ -13,12 +13,16 @@ give identical outputs on both backends.
 Shared draws: callers that replay the same worlds many times (planner
 labels, suffix projections of one trigger) open ``shared_draws()``.
 While it is open, the standard normal behind ``normal`` and gamma's
-uniforms are kept in per-key tables indexed by counter, so a repeated
-(key, ctr) is read back instead of hashed and transformed again.  A
-table holds the very double the expressions produced, so no value
-changes; it only spares the big-integer hashing that dominates this
-module.  The compiled twin hashes in machine words and needs no such
-memo, so it has none and the kernel API is the same on both backends.
+uniforms are kept in per-key tables by counter, and a real job's
+job-stream draws in ``job_step`` by stream position and type spec (all
+label replications of a scope replay the same job keys).  No value can
+change: a memo key holds every input of its draws, a memo holds the
+very doubles the expressions produced, and the wear increments are
+recomputed at each call from the kept standard normals.  The memos
+spare the big-integer hashing and Python-level sampling that dominate
+this module.  The compiled twin hashes in machine words and needs no
+such memo, so it has none and the kernel API is the same on both
+backends.
 """
 
 import math
@@ -47,11 +51,12 @@ def u01(key, ctr):
 
 
 # Draw tables of the open shared_draws() scope: key -> array('d') of
-# values by counter, NaN where nothing was drawn yet (no draw is NaN).
+# values by counter, NaN where nothing was drawn yet (no draw is NaN),
+# and the job-stream draws of real jobs by their _job_draws arguments.
 # None outside a scope, so nothing is stored there.
 _normals = None
 _uniforms = None
-_depth = 0
+_jobs = None
 
 
 @contextmanager
@@ -63,16 +68,14 @@ def shared_draws():
     what the scope draws, so open it only around work that replays the
     same streams.
     """
-    global _normals, _uniforms, _depth
-    if _depth == 0:
-        _normals, _uniforms = {}, {}
-    _depth += 1
+    global _normals, _uniforms, _jobs
+    outer = _normals, _uniforms, _jobs
+    if _normals is None:
+        _normals, _uniforms, _jobs = {}, {}, {}
     try:
         yield
     finally:
-        _depth -= 1
-        if _depth == 0:
-            _normals = _uniforms = None
+        _normals, _uniforms, _jobs = outer
 
 
 def _shared(table, draw, key, ctr):
@@ -161,6 +164,30 @@ def truncated_normal(key, ctr, mu, sigma, lo, hi):
             return x, ctr
 
 
+def _job_draws(*spec):
+    """A real job's job-stream draws for spec = (jkey, jctr, sl, xi, mu_q,
+    sig_q, q_lo, q_hi, noise_sigma): (ups, eps, z_m, z_p, jctr), where
+    z_m and z_p are the standard normals behind the two wear increments
+    (z_m is None when ups is within tolerance).  Kept by spec inside a
+    scope.  Keys compare -0.0 == 0.0, and only a zero ups can tell such
+    specs apart, so a zero ups is not kept."""
+    got = None if _jobs is None else _jobs.get(spec)
+    if got is not None:
+        return got
+    jkey, jctr, sl, xi, mu_q, sig_q, q_lo, q_hi, noise_sigma = spec
+    ups, jctr = truncated_normal(jkey, jctr, mu_q, sig_q, q_lo, q_hi)
+    eps, jctr = normal(jkey, jctr, 0.0, noise_sigma)
+    z_m = None
+    if not abs(ups - sl) < xi:
+        z_m = _shared(_normals, _std_normal, jkey, jctr)
+        jctr += 2
+    z_p = _shared(_normals, _std_normal, jkey, jctr)
+    got = ups, eps, z_m, z_p, jctr + 2
+    if _jobs is not None and ups != 0.0:
+        _jobs[spec] = got
+    return got
+
+
 def job_step(jkey, jctr, ekey, ectr, det, kind, w, dt, o,
              eta, alpha, beta, mu_m, sig_m, mu_p, sig_p,
              ups0, a, b0, gam, sl, xi,
@@ -205,28 +232,23 @@ def job_step(jkey, jctr, ekey, ectr, det, kind, w, dt, o,
             ups = q_hi
         eps = 0.0
     else:
-        ups, jctr = truncated_normal(jkey, jctr, mu_q, sig_q, q_lo, q_hi)
-        eps, jctr = normal(jkey, jctr, 0.0, noise_sigma)
+        ups, eps, z_m, z_p, jctr = _job_draws(
+            jkey, jctr, sl, xi, mu_q, sig_q, q_lo, q_hi, noise_sigma)
 
     d = ups0 + a * w1 + b0 * eps + w1 * gam * eps
     q = 1 if abs(d - sl) < xi else 0
 
+    # the increments are clamped_normal's mu + sigma * z, clamped at 0
     delta = abs(ups - sl)
     if delta < xi:
         du_m = 0.0
     else:
-        if det:
-            du_m = delta * mu_m
-            if du_m < 0.0:
-                du_m = 0.0
-        else:
-            du_m, jctr = clamped_normal(jkey, jctr, delta * mu_m, sig_m)
-    if det:
-        du_p = p * mu_p
-        if du_p < 0.0:
-            du_p = 0.0
-    else:
-        du_p, jctr = clamped_normal(jkey, jctr, p * mu_p, sig_p)
+        du_m = delta * mu_m if det else delta * mu_m + sig_m * z_m
+        if du_m < 0.0:
+            du_m = 0.0
+    du_p = p * mu_p if det else p * mu_p + sig_p * z_p
+    if du_p < 0.0:
+        du_p = 0.0
 
     w3 = (w1 + du_m) + du_p
     return p, d, q, ups, eps, dv, du_m, du_p, w3, jctr, ectr

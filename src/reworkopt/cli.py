@@ -21,6 +21,7 @@ from .harness import (ExperimentConfig, collect_archives, nondominated,
                       run_experiment, write_aggregate_report)
 from .improver import make_rescheduler
 from .instances import generate_instance, oracle_toy, toy_instance
+from .model import InvalidInstanceError
 from .oracle import check_feasibility, enumerate_pareto
 from .orchestrator import _pilot_idle_types
 from .rng import NS_INIT, NS_ONLINE, RngStream
@@ -206,8 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one verb; a refused instance or file is a one-line error and
+    exit status 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (InvalidInstanceError, storage.FormatError) as err:
+        print("reworkopt: %s" % err, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,10 +11,9 @@ pool, so the returned plan never scores below it.
 
 from __future__ import annotations
 
-from ._kernel import shared_draws
 from .encoding import planned_starts
 from .model import ProblemInstance
-from .rng import NS_SEARCH
+from .rng import NS_SEARCH, shared_draws
 from .simulate import (RescheduleContext, ScheduleTrace, append_copies,
                        fill_idle_slots, fitness_resched, simulate_suffix)
 

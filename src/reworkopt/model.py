@@ -222,6 +222,8 @@ def validate_instance(inst: ProblemInstance) -> list[str]:
             errs.append(f"idle type {t}: no nominal time on machine {mid}")
         elif not math.isfinite(o):
             errs.append(f"idle type {t}: non-finite nominal time on machine {mid}")
+        elif not o > 0:
+            errs.append(f"idle type {t}: nonpositive nominal time on machine {mid}")
     for m in inst.machines:
         if not _finite(m, f"machine {m.id}: ", errs):
             continue

@@ -33,10 +33,6 @@ class BudgetSchedule:
     def total(self) -> int:
         return sum(s + r for s, r in self.rounds)
 
-    @property
-    def online_total(self) -> int:
-        return sum(r for _, r in self.rounds)
-
 
 def _phi(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))

@@ -15,13 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ._kernel import shared_draws
 from .encoding import (Chromosome, GeneBounds, SchedulePlan, decode,
                        random_chromosome)
 from .model import ProblemInstance
-from .rng import NS_LABEL, NS_SEARCH, RngStream
+from .rng import NS_LABEL, NS_SEARCH, RngStream, shared_draws
 from .simulate import (STATIC, ScheduleTrace, SimConfig, fitness_static,
-                       simulate)
+                       prepare, simulate)
 
 
 @dataclass
@@ -56,16 +55,17 @@ def label_static_obj(inst: ProblemInstance, chrom: Chromosome,
     Replication r draws from the run-wide substream (label, r): every
     chromosome sees the same worlds, so labels are paired.  Selection
     keeps the leader of every cost level on the population's own front,
-    and needs the objectives behind each label for that.
+    and needs the objectives behind each label for that.  The plan is
+    decoded and prepared once; every replication replays it.
     """
-    plan = decode(chrom, inst)
+    plan = prepare(inst, decode(chrom, inst))
+    sim_cfg = SimConfig(mode=STATIC, det=cfg.det, prop2=cfg.prop2,
+                        counter=cfg.counter, summary=True)
     total = 0.0
     mk = 0.0
     mc = 0.0
     for r in range(cfg.label_reps):
-        tr = simulate(inst, plan, master.substream(NS_LABEL, r),
-                      SimConfig(mode=STATIC, det=cfg.det, prop2=cfg.prop2,
-                                counter=cfg.counter, summary=True))
+        tr = simulate(inst, plan, master.substream(NS_LABEL, r), sim_cfg)
         total += fitness_static(tr)
         mk += tr.makespan
         mc += tr.maint_cost

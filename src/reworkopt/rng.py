@@ -10,6 +10,7 @@ extension stable: adding replication 7 never perturbs replications 0-6.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import lru_cache
 
 from . import _kernel
@@ -37,6 +38,38 @@ def _id_hash(i: int) -> int:
     return _kernel.mix64((i + 1) * _GOLDEN & _M64)
 
 
+class _Subkeys(dict):
+    """Keys of a stream's substreams by id, each hashed when first read."""
+
+    def __init__(self, key: int):
+        self.key = key
+
+    def __missing__(self, i: int) -> int:
+        k = self[i] = _kernel.mix64((self.key ^ _id_hash(i)) & _M64)
+        return k
+
+
+# subkey tables of the open shared_draws() scope by stream key; None
+# outside a scope, so nothing is kept there
+_subkeys: dict[int, _Subkeys] | None = None
+
+
+@contextmanager
+def shared_draws():
+    """The kernel's shared_draws() scope, in which subkeys() tables are
+    shared by stream key too, so runs that replay one root hash each
+    entity's key once.  Re-entrant; the outermost exit drops them."""
+    global _subkeys
+    outer = _subkeys
+    if outer is None:
+        _subkeys = {}
+    try:
+        with _kernel.shared_draws():
+            yield
+    finally:
+        _subkeys = outer
+
+
 class RngStream:
     """A (key, counter) pair over the kernel hash. Cheap to fork."""
 
@@ -60,12 +93,12 @@ class RngStream:
             k = _kernel.mix64((k ^ _id_hash(i)) & _M64)
         return RngStream(k)
 
-    def subkey(self, i: int) -> int:
-        """Key of substream(i), without building the stream."""
-        return _kernel.mix64((self.key ^ _id_hash(i)) & _M64)
-
-    def clone(self) -> "RngStream":
-        return RngStream(self.key, self.ctr)
+    def subkeys(self) -> dict[int, int]:
+        """Keys of substream(i) by i, without building the streams; the
+        table is shared by key inside a shared_draws() scope."""
+        if _subkeys is None:
+            return _Subkeys(self.key)
+        return _subkeys.setdefault(self.key, _Subkeys(self.key))
 
     # -- draws ---------------------------------------------------------
 

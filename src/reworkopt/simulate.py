@@ -32,6 +32,11 @@ projections always run so) track makespan, maintenance cost and the
 qualified count as they go and build no job or idle event records;
 their trace has empty job_events and idle_events but the full
 maintenance event list.  Draws and results match the full run exactly.
+
+A plan is prepared once into entity rows (``prepare``) that carry the
+kernel arguments fixed along a run.  No run mutates the rows or their
+entries (a reschedule replaces the queues it runs), so the replications
+of one label share one prepared plan.
 """
 
 from __future__ import annotations
@@ -59,16 +64,21 @@ class _Ent:
 
     release is the earliest time the entry may start: 0 for an entry of
     the plan, the trigger time for a rework copy (a copy exists only
-    once its origin has finished)."""
+    once its origin has finished).  times and args map each machine the
+    entry may run on to its nominal time and to job_step's arguments
+    after it (one args per type)."""
 
-    __slots__ = ("eid", "slot", "job", "idle_type", "release")
+    __slots__ = ("eid", "slot", "job", "idle_type", "times", "args", "release")
 
     def __init__(self, eid: int, slot: int, job: Job | None, idle_type: int | None,
+                 times: dict[int, float], args: dict[int, tuple],
                  release: float = 0.0):
         self.eid = eid
         self.slot = slot
         self.job = job
         self.idle_type = idle_type
+        self.times = times
+        self.args = args
         self.release = release
 
     @property
@@ -165,18 +175,37 @@ class SimConfig:
     summary: bool = False                    # internal: no per-event records
 
 
-def _entities_from_plan(plan: SchedulePlan, inst: ProblemInstance) -> dict[int, list[_Ent]]:
+@dataclass
+class PreparedPlan:
+    """A plan's entity rows by machine, shared by every run of it."""
+
+    rows: dict[int, list[_Ent]]
+    chrom: Chromosome
+
+
+def prepare(inst: ProblemInstance, plan: SchedulePlan) -> PreparedPlan:
+    """Entity rows of a plan; job_step's arguments after the nominal
+    time are concatenated once per machine and type."""
+    g = inst.globals
+    args = {t: {m.id: (g.eta, m.alpha, m.beta, m.mu_minus, m.sigma_minus,
+                       m.mu_plus, m.sigma_plus, m.ups0, m.a, m.b0, m.gamma,
+                       q.target, q.tol, q.mu_q, q.sigma_q, q.lo, q.hi,
+                       g.noise_sigma)
+                for m in inst.machines}
+            for t, q in inst.quality.items()}
     n = inst.n_jobs
-    queues: dict[int, list[_Ent]] = {}
+    rows: dict[int, list[_Ent]] = {}
     for mid, slots in plan.order.items():
-        row = []
+        rows[mid] = row = []
         for s in slots:
             if s < n:
-                row.append(_Ent(s, s, inst.jobs[s], None))
+                job = inst.jobs[s]
+                row.append(_Ent(s, s, job, None, job.nominal_times,
+                                args[job.type]))
             else:
-                row.append(_Ent(s, s, None, plan.chrom.idle_types[s - n]))
-        queues[mid] = row
-    return queues
+                t = plan.chrom.idle_types[s - n]
+                row.append(_Ent(s, s, None, t, inst.idle_nominal[t], args[t]))
+    return PreparedPlan(rows, plan.chrom)
 
 
 class _Sim:
@@ -195,17 +224,8 @@ class _Sim:
         self.cfg = cfg
         self.det = 1 if cfg.det else 0
         self.env = {mid: root.substream(NS_ENV, mid) for mid in queues}
-        # entity eid draws with key job_root.subkey(eid)
-        self.job_root = root.substream(NS_JOB)
-        # kernel arguments that stay fixed along the run
-        g = inst.globals
-        self.machine_args = {
-            m.id: (g.eta, m.alpha, m.beta, m.mu_minus, m.sigma_minus,
-                   m.mu_plus, m.sigma_plus, m.ups0, m.a, m.b0, m.gamma)
-            for m in inst.machines}
-        self.type_args = {
-            t: (q.target, q.tol, q.mu_q, q.sigma_q, q.lo, q.hi, g.noise_sigma)
-            for t, q in inst.quality.items()}
+        # entity eid draws with key job_keys[eid]
+        self.job_keys = root.substream(NS_JOB).subkeys()
         self.job_events: list[JobEvent] = []
         self.idle_events: list[IdleEvent] = []
         self.maint_events: list[MaintenanceEvent] = []
@@ -216,7 +236,7 @@ class _Sim:
         self.seq = 0
         self.window_total = 0
         self.window_nc = 0
-        self.window_copy_jobs: list[Job] = []
+        self.window_copies: list[_Ent] = []     # origins of the next copies
         self.copied: set[int] = set()
         self.next_eid = chrom.n_slots
         self.next_copy_id = inst.n_jobs + chrom.n_slots
@@ -238,8 +258,8 @@ class _Sim:
                 job = ent.job
                 if job.origin is None and job.id not in self.copied:
                     self.copied.add(job.id)
-                    self.window_copy_jobs.append(job)
-            if (self.window_nc >= 1 and self.window_copy_jobs
+                    self.window_copies.append(ent)
+            if (self.window_nc >= 1 and self.window_copies
                     and self.window_nc / self.window_total >= self.chrom.thr_r):
                 self.pending_trigger = ct
                 return
@@ -279,11 +299,11 @@ class _Sim:
         st = self.states[mid]
         mp = self.inst.machine(mid)
         g = self.inst.globals
-        margs = self.machine_args[mid]
         base = self.root.substream(NS_PROP2, mid, check)
         jkey = base.substream(1).key
         ekey = base.substream(2).key
-        remaining = [e.job for e in self.queues[mid][self.ptr[mid]:]
+        remaining = [(e.times[mid], e.args[mid])
+                     for e in self.queues[mid][self.ptr[mid]:]
                      if e.job is not None]
         out = []
         for do_pm in (True, False):
@@ -296,13 +316,12 @@ class _Sim:
                 maint_acc += mp.t_pm_full
             jctr = ectr = 0
             count = 0
-            for job in remaining:
+            for o, args in remaining:
                 dt = (t - last_start) - maint_acc
                 if dt < 0.0:
                     dt = 0.0
                 (p, _, _, _, _, _, _, _, w, jctr, ectr) = job_step(
-                    jkey, jctr, ekey, ectr, self.det, 0, w, dt,
-                    job.nominal_times[mid], *margs, *self.type_args[job.type])
+                    jkey, jctr, ekey, ectr, self.det, 0, w, dt, o, *args)
                 last_start = t
                 maint_acc = 0.0
                 t += p
@@ -351,12 +370,14 @@ class _Sim:
 
     def _make_copies(self, at: float) -> list[_Ent]:
         out = []
-        for job in self.window_copy_jobs:
+        for ent in self.window_copies:
+            job = ent.job
             cid = self.next_copy_id
             self.next_copy_id += 1
             copy = Job(id=cid, type=job.type,
                        nominal_times=dict(job.nominal_times), origin=job.id)
-            out.append(_Ent(self.next_eid, -1, copy, None, at))
+            out.append(_Ent(self.next_eid, -1, copy, None, copy.nominal_times,
+                            ent.args, at))
             self.next_eid += 1
         return out
 
@@ -386,7 +407,7 @@ class _Sim:
             self.window_nc, f_r))
         self.window_total = 0
         self.window_nc = 0
-        self.window_copy_jobs = []
+        self.window_copies = []
         self.pending_trigger = None
 
     # -- main loop -----------------------------------------------------
@@ -405,10 +426,10 @@ class _Sim:
         empty or a rework trigger is pending."""
         job_step = _kernel.job_step
         queues, ptr, states = self.queues, self.ptr, self.states
-        inst, chrom, det, env = self.inst, self.chrom, self.det, self.env
-        machine_args, type_args = self.machine_args, self.type_args
+        det, env, job_keys = self.det, self.env, self.job_keys
+        zeta, n_u = self.chrom.zeta, self.chrom.n_u
+        caps = {m.id: m.cap for m in self.inst.machines}
         skip_idle, summary = self.cfg.mode != STATIC, self.cfg.summary
-        job_root = self.job_root
         heap = self.heap if self.cfg.mode == ONLINE else None
         while True:
             # frontier: earliest effective start, ties to the lowest id
@@ -434,31 +455,29 @@ class _Sim:
                 ptr[mid] += 1
                 continue
             st = states[mid]
-            mp = inst.machine(mid)
-            if cm_required(st.w, mp.cap):
+            cap = caps[mid]
+            # maintenance.cm_required and maintenance.pm_due, inlined
+            if st.w > cap:
                 self._apply_cm(mid, st.ready)
                 continue
-            if pm_due(st, chrom.zeta, chrom.n_u, mp) and self._try_pm(mid, t):
+            if (not st.suspended and st.w / cap >= zeta and st.n_pm < n_u
+                    and self._try_pm(mid, t)):
                 continue
             dt = (t - st.last_start) - st.maint_acc
             if dt < 0.0:
                 dt = 0.0
             erng = env[mid]
             w = st.w
+            (p, d, q, ups, eps, dv, du_m, du_p, w_after, _, erng.ctr) = job_step(
+                job_keys[ent.eid], 0, erng.key, erng.ctr, det,
+                1 if job is None else 0, w, dt, ent.times[mid],
+                *ent.args[mid])
             if job is None:
-                (p, _, _, _, _, dv, _, du_p, w_after, _, erng.ctr) = job_step(
-                    job_root.subkey(ent.eid), 0, erng.key, erng.ctr, det, 1, w, dt,
-                    inst.idle_nominal[ent.idle_type][mid], *machine_args[mid],
-                    *type_args[ent.idle_type])
                 if not summary:
                     self.idle_events.append(IdleEvent(
                         ent.eid, ent.slot, ent.idle_type, mid, t, p, dv, du_p,
                         w, w_after))
             else:
-                (p, d, q, ups, eps, dv, du_m, du_p, w_after, _, erng.ctr) = \
-                    job_step(job_root.subkey(ent.eid), 0, erng.key, erng.ctr, det,
-                             0, w, dt, job.nominal_times[mid],
-                             *machine_args[mid], *type_args[job.type])
                 if not summary:
                     self.job_events.append(JobEvent(
                         ent.eid, job.id, job.origin, job.type, mid, ent.slot,
@@ -478,7 +497,7 @@ class _Sim:
             ptr[mid] += 1
             # a crossing is repaired at the completion that caused it,
             # even when the machine has nothing left to do
-            if cm_required(w_after, mp.cap):
+            if w_after > cap:
                 self._apply_cm(mid, st.ready)
 
     def span_end(self, default: float) -> float:
@@ -536,12 +555,14 @@ def _place_copies(ctx: RescheduleContext, fill: bool) -> dict[int, list[_Ent]]:
     return queues
 
 
-def simulate(inst: ProblemInstance, plan: SchedulePlan, root: RngStream,
-             cfg: SimConfig | None = None) -> ScheduleTrace:
-    """Execute a plan.  See the module docstring for the semantics."""
+def simulate(inst: ProblemInstance, plan: SchedulePlan | PreparedPlan,
+             root: RngStream, cfg: SimConfig | None = None) -> ScheduleTrace:
+    """Execute a plan, or replay a prepared one.  See the module
+    docstring for the semantics."""
+    if not isinstance(plan, PreparedPlan):
+        plan = prepare(inst, plan)
     states = {m.id: MachineState(m.id, m.w0) for m in inst.machines}
-    sim = _Sim(inst, _entities_from_plan(plan, inst), states, plan.chrom,
-               root, cfg or SimConfig())
+    sim = _Sim(inst, plan.rows, states, plan.chrom, root, cfg or SimConfig())
     sim.run()
     return sim.trace()
 

@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import reworkopt
 from reworkopt.cli import _parse_seeds, build_parser, main
 from reworkopt.storage import (ARCHIVE_TAG, load_archive, load_instance,
                                load_manifest, load_report)
@@ -104,3 +107,27 @@ def test_parser_rejects_unknown_verb():
     # backends are compared by perfbench/run.py, not the CLI
     with pytest.raises(SystemExit):
         build_parser().parse_args(["bench"])
+
+
+def test_a_refused_instance_is_a_one_line_error(tmp_path):
+    src = os.path.dirname(os.path.dirname(reworkopt.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "x.txt"
+    proc = subprocess.run(
+        [sys.executable, "-m", "reworkopt.cli", "generate", "--n-jobs", "4",
+         "--seed", "0", "--sigma-q", "-1", "--out", str(out)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("reworkopt: invalid instance: ")
+    assert "type 0: negative sigma_q" in proc.stderr
+    assert not out.exists()
+
+
+def test_a_malformed_instance_file_is_a_one_line_error(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("not an instance\n")
+    assert main(["gantt", "--instance", str(bad),
+                 "--out", str(tmp_path / "g.svg")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("reworkopt: ") and err.count("\n") == 1

@@ -82,14 +82,23 @@ def test_clamped_normal_bitwise_equal():
         assert (bits(xp), cp) == (bits(xc), cc)
 
 
+# type specs (sl, xi, mu_q, sig_q, q_lo, q_hi, noise_sigma): the pure
+# kernel keeps a scope's job-stream draws by stream position and spec
+_SPECS = [(42.72, 0.08, 42.72, 0.06, 42.54, 42.9, 1.0),
+          (42.61, 0.07, 42.5, 0.3, 41.9, 43.1, 0.5),
+          (42.72, 1e-3, 42.6, 0.0, 42.54, 42.9, 1.0)]
+
+
 def _step_args(r):
+    sl, xi, mu_q, sig_q, q_lo, q_hi, noise_sigma = r.choice(_SPECS)
+    mu_m, sig_m = r.choice([(80.0, 0.003), (8.0, 0.3)])
     return dict(
         det=r.randrange(2), kind=r.randrange(2),
         w=r.uniform(0.0, 0.5), dt=r.uniform(0.0, 10.0), o=r.uniform(1.0, 3.0),
         eta=0.2, alpha=r.uniform(0.0, 2.0), beta=6e-5,
-        mu_m=80.0, sig_m=0.003, mu_p=r.uniform(0.0, 0.1), sig_p=0.015,
-        ups0=42.72, a=0.0112, b0=0.0098, gam=0.0137, sl=42.72, xi=0.08,
-        mu_q=42.72, sig_q=0.06, q_lo=42.54, q_hi=42.9, noise_sigma=1.0)
+        mu_m=mu_m, sig_m=sig_m, mu_p=r.uniform(0.0, 0.1), sig_p=0.015,
+        ups0=42.72, a=0.0112, b0=0.0098, gam=0.0137, sl=sl, xi=xi,
+        mu_q=mu_q, sig_q=sig_q, q_lo=q_lo, q_hi=q_hi, noise_sigma=noise_sigma)
 
 
 def test_job_step_bitwise_equal():
@@ -121,8 +130,8 @@ def _draw_calls():
             ("clamped_normal", (key, ctr, 0.001, 0.015), {}),
             ("gamma", (key, ctr, r.choice([0.0, 0.37, 1.0, 3.2]), 2.5), {}),
             ("truncated_normal", (key, ctr, 0.0, 1.0, -0.5, 0.5), {}),
-            ("job_step", (r.choice(keys), ctr, key, r.randrange(60)),
-             _step_args(r)),
+            ("job_step", (r.choice(keys), r.randrange(4), key,
+                          r.randrange(60)), _step_args(r)),
         ]
     return calls
 

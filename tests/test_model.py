@@ -130,13 +130,27 @@ def test_validate_rejects_non_finite_parameters(setter, message, bad):
     assert validate_instance(inst) == [message]
 
 
+@pytest.mark.parametrize("bad", [0.0, -5.0])
+def test_validate_rejects_nonpositive_idle_times(bad):
+    # a negative idle time would move a machine's frontier back in time
+    inst = toy_instance(6, 0)
+    inst.idle_nominal[0][0] = inst.idle_nominal[0][1] = bad
+    assert validate_instance(inst) == [
+        "idle type 0: nonpositive nominal time on machine 0",
+        "idle type 0: nonpositive nominal time on machine 1"]
+
+
 def test_require_valid_names_every_violation():
     assert require_valid(toy_instance()) is not None
+    # the idle time defaults to the mean job time, 0 here, so it is
+    # nonpositive too
     inst = _tiny([Job(0, 0, {0: 0.0})], [_machine(w0=0.9, cap=0.5)])
     with pytest.raises(InvalidInstanceError) as err:
         require_valid(inst)
-    assert len(err.value.errors) == 2
-    assert "initial wear" in str(err.value)
+    assert err.value.errors == [
+        "job 0: nonpositive nominal time on machine 0",
+        "idle type 0: nonpositive nominal time on machine 0",
+        "machine 0: initial wear 0.9 outside [0, cap)"]
 
 
 def test_decode_rejects_incapable_assignment():

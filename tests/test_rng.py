@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reworkopt._kernel import pure
-from reworkopt.rng import RngStream
+from reworkopt.rng import RngStream, shared_draws
 
 U64 = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -76,17 +76,22 @@ def test_substream_ignores_parent_counter():
     assert a.substream(3).ctr == 0
 
 
+def test_subkeys_are_substream_keys_shared_only_in_a_scope():
+    root = RngStream.from_seed(7).substream(2)
+    keys = root.subkeys()
+    assert [keys[i] for i in (0, 5, 0)] == [
+        root.substream(i).key for i in (0, 5, 0)]
+    assert RngStream(root.key).subkeys() is not keys
+    with shared_draws():
+        shared = RngStream(root.key).subkeys()
+        assert shared is root.subkeys() and shared is not keys
+        assert shared[5] == keys[5]
+
+
 def test_same_seed_same_sequence():
     a = RngStream.from_seed(123)
     b = RngStream.from_seed(123)
     assert [a.uniform() for _ in range(20)] == [b.uniform() for _ in range(20)]
-
-
-def test_clone_leaves_original_untouched():
-    a = RngStream.from_seed(5)
-    a.uniform()
-    c = a.clone()
-    assert c.uniform() == RngStream(a.key, a.ctr).uniform()
 
 
 @given(st.integers(min_value=1, max_value=1000), st.integers(min_value=0, max_value=2**32))

@@ -115,6 +115,16 @@ def test_loading_requires_an_idle_time_for_every_capable_machine(tmp_path):
         load_instance(p)
 
 
+def test_loading_rejects_a_negative_idle_time(tmp_path):
+    inst = toy_instance(6, seed=0)
+    inst.idle_nominal[0][0] = -5.0
+    p = tmp_path / "negative_idle_time.txt"
+    save_instance(inst, p)
+    with pytest.raises(InvalidInstanceError,
+                       match="idle type 0: nonpositive nominal time on machine 0"):
+        load_instance(p)
+
+
 def test_archive_rows_come_back_sorted_and_exact():
     rows = [(3, 101.5, 220.0, "aaa"), (1, 99.25, 500.0, "bbb"),
             (2, 99.25, 300.0, "ccc"), (0, 150.0, 1e-7, "ddd")]
