@@ -76,12 +76,8 @@ def random_chromosome(inst: ProblemInstance, idle_types: tuple[int, ...],
     bounds = bounds or GeneBounds()
     assign: list[int] = []
     key: list[float] = []
-    n = inst.n_jobs
-    for slot in range(n + len(idle_types)):
-        t = inst.jobs[slot].type if slot < n else idle_types[slot - n]
-        caps = (list(inst.jobs[slot].nominal_times) if slot < n
-                else inst.capable_machines(t))
-        assign.append(caps[rng.randrange(len(caps))])
+    for times in inst.slot_times(idle_types):
+        assign.append(list(times)[rng.randrange(len(times))])
         key.append(rng.uniform())
     lo, hi = bounds.zeta
     zeta = lo + rng.uniform() * (hi - lo)
@@ -96,23 +92,15 @@ def random_chromosome(inst: ProblemInstance, idle_types: tuple[int, ...],
 def decode(chrom: Chromosome, inst: ProblemInstance) -> SchedulePlan:
     """Chromosome -> per-machine sequences, keys ascending, ties by slot id.
 
-    Raises IncapableMachineError if any slot sits on a machine that
-    cannot process its type.
+    Raises IncapableMachineError if any slot sits on a machine its entry
+    of the slot table (ProblemInstance.slot_times) does not list.
     """
     order: dict[int, list[int]] = {m.id: [] for m in inst.machines}
-    n = inst.n_jobs
+    table = inst.slot_times(chrom.idle_types)
     for slot, mid in enumerate(chrom.assign):
-        if mid not in order:
-            raise IncapableMachineError(f"slot {slot}: unknown machine {mid}")
-        if slot < n:
-            if not inst.jobs[slot].capable(mid):
-                raise IncapableMachineError(
-                    f"slot {slot}: machine {mid} cannot run job {inst.jobs[slot].id}")
-        else:
-            t = chrom.idle_types[slot - n]
-            if mid not in inst.capable_machines(t):
-                raise IncapableMachineError(
-                    f"idle slot {slot}: machine {mid} cannot host type {t}")
+        if mid not in table[slot]:
+            raise IncapableMachineError(
+                f"slot {slot}: machine {mid} is not one of {sorted(table[slot])}")
         order[mid].append(slot)
     for mid in order:
         order[mid].sort(key=lambda s: (chrom.key[s], s))
@@ -124,13 +112,10 @@ def planned_starts(plan: SchedulePlan, inst: ProblemInstance) -> dict[int, float
     no wear, no maintenance.  This is the baseline that execution drift
     is measured against."""
     out: dict[int, float] = {}
-    n = inst.n_jobs
+    table = inst.slot_times(plan.chrom.idle_types)
     for mid, slots in plan.order.items():
         t = 0.0
         for s in slots:
             out[s] = t
-            if s < n:
-                t += inst.jobs[s].nominal_times[mid]
-            else:
-                t += inst.idle_nominal[plan.chrom.idle_types[s - n]][mid]
+            t += table[s][mid]
     return out

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 from . import __version__, storage
 from .instances import generate_instance
 from .metrics import bounds_of, hypervolume, igd, normalize, rpd
+from .model import front_insert
 from .orchestrator import DpeiaConfig, dpeia
 
 
@@ -104,14 +105,12 @@ def _write_summary(sdir, seed, res, rows):
         fh.write("\n".join(lines) + "\n")
 
 
-def _dominates(p, q) -> bool:
-    return p[0] <= q[0] and p[1] <= q[1] and (p[0] < q[0] or p[1] < q[1])
-
-
 def nondominated(points):
-    pts = sorted(set(points))
-    return [p for p in pts
-            if not any(_dominates(q, p) for q in pts if q != p)]
+    """The distinct nondominated points, sorted."""
+    front: list = []
+    for p in points:
+        front_insert(front, p)
+    return sorted(front)
 
 
 def _padded_bounds(point_sets):

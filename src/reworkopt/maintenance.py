@@ -101,18 +101,22 @@ def pm_due(state: MachineState, zeta: float, n_u: int, m: MachineParams) -> bool
             and state.n_pm < n_u)
 
 
+def pm_window(machines: dict[int, MachineParams], psi: float) -> float:
+    """Joint-maintenance merge window: psi x the longest preventive action."""
+    return psi * max(m.t_pm_full for m in machines.values())
+
+
 def group_pms(due: list[tuple[int, float]], machines: dict[int, MachineParams],
-              psi: float, first_group_id: int = 0) -> list[PmGroup]:
+              window: float, first_group_id: int = 0) -> list[PmGroup]:
     """Merge due preventive actions into joint groups.
 
-    due holds (machine_id, ready_time) pairs.  The merge window is
-    psi times the largest single preventive duration in the shop; a
-    group runs from the latest member ready time for the longest member
-    duration, and each member's setup cost is diluted by the group size.
+    due holds (machine_id, ready_time) pairs and window comes from
+    pm_window; a group runs from the latest member ready time for the
+    longest member duration, and each member's setup cost is diluted by
+    the group size.
     """
     if not due:
         return []
-    window = psi * max(m.t_pm_full for m in machines.values())
     ordered = sorted(due, key=lambda x: (x[1], x[0]))
     groups: list[PmGroup] = []
     i = 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 # least normal mass a truncated input-quality interval must hold: draws
 # are rejected outside it, so a thin interval costs about 1/mass tries
@@ -38,9 +39,6 @@ class Job:
     type: int
     nominal_times: dict[int, float]   # machine id -> base processing time
     origin: int | None = None
-
-    def capable(self, machine_id: int) -> bool:
-        return machine_id in self.nominal_times
 
 
 @dataclass
@@ -114,6 +112,7 @@ class ProblemInstance:
     def __post_init__(self):
         self._by_id = {m.id: m for m in self.machines}
         self._caps: dict[int, list[int]] = {}
+        self._slots: dict[tuple[int, ...], list[dict[int, float]]] = {}
         if not self.idle_nominal:
             self.idle_nominal = _mean_nominals(self.jobs)
 
@@ -125,8 +124,9 @@ class ProblemInstance:
         return self._by_id[machine_id]
 
     def capable_machines(self, job_type: int) -> list[int]:
-        """Machine ids that can run the given type, ascending (a fresh
-        list; the scan over the jobs runs once per type)."""
+        """The type-wide union of its jobs' machines, ascending (a fresh
+        list; the jobs are scanned once per type).  Only reserved spaces
+        go by it: a real job may have fewer, see slot_times."""
         caps = self._caps.get(job_type)
         if caps is None:
             out: set[int] = set()
@@ -139,19 +139,46 @@ class ProblemInstance:
     def job_types(self) -> list[int]:
         return sorted({j.type for j in self.jobs})
 
+    def slot_times(self, idle_types: tuple[int, ...]) -> list[dict[int, float]]:
+        """Per slot, the machines it may run on and its nominal time on
+        each: a real job's own nominal_times, then per reserved space of
+        type t its idle_nominal on capable_machines(t), keys ascending.
+        Built once per idle_types and shared, so never mutate it."""
+        table = self._slots.get(idle_types)
+        if table is None:
+            table = [j.nominal_times for j in self.jobs]
+            for t in idle_types:
+                times = self.idle_nominal[t]
+                table.append({m: times[m] for m in self.capable_machines(t)})
+            self._slots[idle_types] = table
+        return table
 
-@dataclass(frozen=True)
-class ObjectivePair:
+
+def dominates(p, q) -> bool:
+    """Pareto dominance of two (makespan, cost) points, both minimized:
+    p is no worse than q on either and better on one."""
+    return p[0] <= q[0] and p[1] <= q[1] and (p[0] < q[0] or p[1] < q[1])
+
+
+def front_insert(front: list, item, point=lambda x: x) -> bool:
+    """Add item (objectives point(item)) to a nondominated list unless a
+    member dominates or equals it; drop the members it dominates, keep
+    the rest in order and append it.  Returns whether it was added."""
+    p = point(item)
+    for x in front:
+        q = point(x)
+        if q == p or dominates(q, p):
+            return False
+    front[:] = [x for x in front if not dominates(p, point(x))]
+    front.append(item)
+    return True
+
+
+class ObjectivePair(NamedTuple):
     """Makespan and total maintenance cost, both minimized."""
 
     makespan: float
     maint_cost: float
-
-    def dominates(self, other: "ObjectivePair") -> bool:
-        return (self.makespan <= other.makespan
-                and self.maint_cost <= other.maint_cost
-                and (self.makespan < other.makespan
-                     or self.maint_cost < other.maint_cost))
 
 
 def _mean_nominals(jobs: list[Job]) -> dict[int, dict[int, float]]:

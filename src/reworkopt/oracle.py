@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .encoding import Chromosome
-from .model import ObjectivePair, ProblemInstance
+from .model import ObjectivePair, ProblemInstance, front_insert
 from .simulate import ScheduleTrace
 
 _TOL = 1e-9
@@ -255,14 +255,6 @@ def _machine_options(inst: ProblemInstance, mid: int,
     return out
 
 
-def _push_front(front: list, obj: ObjectivePair, sol) -> None:
-    for f_obj, _ in front:
-        if f_obj.dominates(obj) or f_obj == obj:
-            return
-    front[:] = [(o, s) for o, s in front if not obj.dominates(o)]
-    front.append((obj, sol))
-
-
 def enumerate_pareto(inst: ProblemInstance,
                      zeta_bounds: tuple[float, float] = (0.05, 0.95),
                      n_u_max: int = 2,
@@ -313,9 +305,8 @@ def enumerate_pareto(inst: ProblemInstance,
                     {mid: combo[k][5] for k, mid in enumerate(mids)},
                     {mid: combo[k][6] for k, mid in enumerate(mids)},
                     zeta, n_u)
-                _push_front(front, obj, sol)
-    return sorted((s for _, s in front),
-                  key=lambda s: (s.objectives.makespan, s.objectives.maint_cost))
+                front_insert(front, sol, lambda s: s.objectives)
+    return sorted(front, key=lambda s: s.objectives)
 
 
 def solution_chromosome(inst: ProblemInstance, sol: OracleSolution) -> Chromosome:

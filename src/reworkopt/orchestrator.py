@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .encoding import Chromosome, GeneBounds, decode, random_chromosome
 from .improver import deviation, make_rescheduler
-from .model import ObjectivePair, ProblemInstance
+from .model import ObjectivePair, ProblemInstance, front_insert
 from .planner import (Individual, PlannerConfig, init_population, plan)
 from .rng import NS_INIT, NS_ONLINE, RngStream
 from .simulate import (ONLINE, SimConfig, fitness_eval, idle_space_count,
@@ -86,15 +86,9 @@ class ParetoArchive:
 
     def add(self, obj: ObjectivePair, chrom: Chromosome, round_index: int,
             elite_index: int, f_eva: float) -> bool:
-        for e in self.entries:
-            if e.objectives.dominates(obj) or e.objectives == obj:
-                return False
-        self.entries = [e for e in self.entries
-                        if not obj.dominates(e.objectives)]
-        self.entries.append(ArchiveEntry(obj, chrom.copy(), round_index,
-                                         elite_index, f_eva,
-                                         chrom.digest()))
-        return True
+        entry = ArchiveEntry(obj, chrom.copy(), round_index, elite_index,
+                             f_eva, chrom.digest())
+        return front_insert(self.entries, entry, lambda e: e.objectives)
 
     def points(self) -> list[ObjectivePair]:
         return sorted((e.objectives for e in self.entries),

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .encoding import (Chromosome, GeneBounds, SchedulePlan, decode,
                        random_chromosome)
-from .model import ProblemInstance
+from .model import ProblemInstance, dominates
 from .rng import NS_LABEL, NS_SEARCH, RngStream, shared_draws
 from .simulate import (STATIC, ScheduleTrace, SimConfig, fitness_static,
                        prepare, simulate)
@@ -29,6 +29,9 @@ class Individual:
     label: float = 0.0
     kind: str = "static"        # which fitness produced the label
     obj: tuple[float, float] | None = None   # (C_max, maint cost) behind it
+    # det_preview of chrom, kept: it depends on inst, chrom and prop2 only
+    preview: tuple[SchedulePlan, ScheduleTrace] | None = field(
+        default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -88,7 +91,7 @@ def de_operator(parent: Chromosome, pop: list[Individual],
     a1, a2 = pop[i1].chrom, pop[i2].chrom
     f = 0.3 + 0.6 * rng.uniform()
     child = parent.copy()
-    n = inst.n_jobs
+    table = inst.slot_times(parent.idle_types)
     for slot in range(parent.n_slots):
         k = ((parent.assign[slot] + parent.key[slot])
              + f * ((a1.assign[slot] + a1.key[slot])
@@ -97,12 +100,9 @@ def de_operator(parent: Chromosome, pop: list[Individual],
         frac = k - m
         if frac >= 1.0:               # guards the k == floor+1.0 float edge
             frac = 0.0
-        t = parent.slot_type(inst, slot)
-        caps = (inst.jobs[slot].nominal_times if slot < n
-                else inst.capable_machines(t))
-        if m not in caps:
-            caps_l = sorted(caps) if not isinstance(caps, list) else caps
-            m = caps_l[rng.randrange(len(caps_l))]
+        if m not in table[slot]:
+            caps = sorted(table[slot])
+            m = caps[rng.randrange(len(caps))]
         child.assign[slot] = m
         child.key[slot] = frac
     child.zeta = _clip(parent.zeta + f * (a1.zeta - a2.zeta), bounds.zeta)
@@ -156,16 +156,17 @@ def re_operator(parent: Chromosome, pop: list[Individual],
 def rebalance(chrom: Chromosome, inst: ProblemInstance, rng: RngStream) -> None:
     """Move slots off overloaded machines toward the capability-weighted
     mean count.  Only moves that shrink the worst overload are taken, so
-    the slot-closure invariant is untouched and the loop terminates."""
-    type_counts: dict[int, int] = {}
+    the slot-closure invariant is untouched and the loop terminates.
+    Targets are summed per (type, machine set), in order of appearance."""
+    table = inst.slot_times(chrom.idle_types)
+    group_counts: dict[tuple, int] = {}
     for slot in range(chrom.n_slots):
-        t = chrom.slot_type(inst, slot)
-        type_counts[t] = type_counts.get(t, 0) + 1
-    caps_of = {t: inst.capable_machines(t) for t in type_counts}
+        grp = (chrom.slot_type(inst, slot), tuple(sorted(table[slot])))
+        group_counts[grp] = group_counts.get(grp, 0) + 1
     target = {m.id: 0.0 for m in inst.machines}
-    for t, c in type_counts.items():
-        for mid in caps_of[t]:
-            target[mid] += c / len(caps_of[t])
+    for (_, caps), c in group_counts.items():
+        for mid in caps:
+            target[mid] += c / len(caps)
     counts = {m.id: 0 for m in inst.machines}
     for mid in chrom.assign:
         counts[mid] += 1
@@ -178,8 +179,7 @@ def rebalance(chrom: Chromosome, inst: ProblemInstance, rng: RngStream) -> None:
         rng.shuffle(slots_here)
         moved = False
         for s in slots_here:
-            t = chrom.slot_type(inst, s)
-            dests = [mid for mid in caps_of[t] if mid != over]
+            dests = [mid for mid in table[s] if mid != over]
             if not dests:
                 continue
             dest = min(dests, key=lambda m: (counts[m] - target[m], m))
@@ -271,16 +271,9 @@ def busiest_idlest_move(chrom: Chromosome, inst: ProblemInstance,
     child = chrom.copy()
     if busiest == idlest:
         return child
-    movable = []
-    n = inst.n_jobs
-    for slot in range(chrom.n_slots):
-        if chrom.assign[slot] != busiest:
-            continue
-        t = chrom.slot_type(inst, slot)
-        ok = (inst.jobs[slot].capable(idlest) if slot < n
-              else idlest in inst.capable_machines(t))
-        if ok:
-            movable.append(slot)
+    table = inst.slot_times(chrom.idle_types)
+    movable = [slot for slot in range(chrom.n_slots)
+               if chrom.assign[slot] == busiest and idlest in table[slot]]
     if not movable:
         return child
     slot = movable[rng.randrange(len(movable))]
@@ -328,10 +321,9 @@ def _front_leaders(pool: list[Individual], cap: int) -> list[Individual]:
     for ind in pool:
         if ind.obj is None:
             continue
-        m, c = ind.obj
-        if any(o[0] <= m and o[1] <= c and (o[0] < m or o[1] < c)
-               for o in objs):
+        if any(dominates(o, ind.obj) for o in objs):
             continue
+        c = ind.obj[1]
         cur = leaders.get(c)
         if cur is None or ind.label > cur.label:
             leaders[c] = ind
@@ -381,7 +373,11 @@ def emode_step(pop: list[Individual], iteration: int, max_iter: int,
             else:
                 child = de_operator(ind.chrom, pop, inst, srng, cfg.bounds)
         else:
-            plan, preview = det_preview(inst, ind.chrom, master, cfg)
+            if ind.preview is None:
+                ind.preview = det_preview(inst, ind.chrom, master, cfg)
+            elif cfg.counter is not None:
+                cfg.counter[0] += 1     # a reused preview counts as a call
+            plan, preview = ind.preview
             cands = [(mid, pos) for mid, slots in plan.order.items()
                      for pos in range(len(slots) - 1)]
             child = None

@@ -50,7 +50,7 @@ from .encoding import Chromosome, SchedulePlan, decode
 from .maintenance import (MachineState, MaintenanceEvent, cm_required,
                           corrective_maintenance, group_pms, imperfect_pm,
                           lifecycle_stats_defined, pm_due,
-                          pm_suspension_check)
+                          pm_suspension_check, pm_window)
 from .model import Job, ObjectivePair, ProblemInstance
 from .rng import NS_ENV, NS_JOB, NS_PILOT, NS_PROP2, NS_RESCHED, RngStream
 
@@ -60,23 +60,24 @@ SUFFIX = "suffix"
 
 
 class _Ent:
-    """Runtime slot entry: a real job, a rework copy, or an idle space.
+    """Runtime slot entry of a type: a real job, a rework copy, or an
+    idle space (no job).
 
     release is the earliest time the entry may start: 0 for an entry of
     the plan, the trigger time for a rework copy (a copy exists only
-    once its origin has finished).  times and args map each machine the
-    entry may run on to its nominal time and to job_step's arguments
-    after it (one args per type)."""
+    once its origin has finished).  times is its slot-table row (a
+    copy's are its job's), args job_step's arguments after the nominal
+    time, by machine."""
 
-    __slots__ = ("eid", "slot", "job", "idle_type", "times", "args", "release")
+    __slots__ = ("eid", "slot", "job", "type", "times", "args", "release")
 
-    def __init__(self, eid: int, slot: int, job: Job | None, idle_type: int | None,
+    def __init__(self, eid: int, slot: int, job: Job | None, type: int,
                  times: dict[int, float], args: dict[int, tuple],
                  release: float = 0.0):
         self.eid = eid
         self.slot = slot
         self.job = job
-        self.idle_type = idle_type
+        self.type = type
         self.times = times
         self.args = args
         self.release = release
@@ -193,18 +194,13 @@ def prepare(inst: ProblemInstance, plan: SchedulePlan) -> PreparedPlan:
                        g.noise_sigma)
                 for m in inst.machines}
             for t, q in inst.quality.items()}
-    n = inst.n_jobs
-    rows: dict[int, list[_Ent]] = {}
-    for mid, slots in plan.order.items():
-        rows[mid] = row = []
-        for s in slots:
-            if s < n:
-                job = inst.jobs[s]
-                row.append(_Ent(s, s, job, None, job.nominal_times,
-                                args[job.type]))
-            else:
-                t = plan.chrom.idle_types[s - n]
-                row.append(_Ent(s, s, None, t, inst.idle_nominal[t], args[t]))
+    idle = plan.chrom.idle_types
+    table = inst.slot_times(idle)
+    jobs = inst.jobs + [None] * len(idle)
+    types = [j.type for j in inst.jobs] + list(idle)
+    rows = {mid: [_Ent(s, s, jobs[s], types[s], table[s], args[types[s]])
+                  for s in slots]
+            for mid, slots in plan.order.items()}
     return PreparedPlan(rows, plan.chrom)
 
 
@@ -216,6 +212,8 @@ class _Sim:
                  states: dict[int, MachineState], chrom: Chromosome,
                  root: RngStream, cfg: SimConfig):
         self.inst = inst
+        self.machines = {m.id: m for m in inst.machines}
+        self.pm_window = pm_window(self.machines, chrom.psi)
         self.queues = queues
         self.ptr = {mid: 0 for mid in queues}
         self.states = states
@@ -266,7 +264,7 @@ class _Sim:
 
     def _apply_cm(self, mid: int, at: float) -> None:
         st = self.states[mid]
-        mp = self.inst.machine(mid)
+        mp = self.machines[mid]
         st.cyc_cost += mp.c_cm
         ev = MaintenanceEvent("cm", mid, at, mp.t_cm, mp.c_cm, None,
                               w_before=st.w, w_after=mp.w0, n_pm_after=0)
@@ -281,7 +279,7 @@ class _Sim:
         cannot judge yet is not projected at all, but still uses up its
         projection stream, so later screens draw what they always drew."""
         st = self.states[mid]
-        mp = self.inst.machine(mid)
+        mp = self.machines[mid]
         self.prop2_checks[mid] += 1
         if not lifecycle_stats_defined(st.cyc_jobs, st.cyc_busy, st.cyc_cost):
             return False
@@ -297,7 +295,7 @@ class _Sim:
         paired mini-runs over the machine's remaining real slots."""
         job_step = _kernel.job_step
         st = self.states[mid]
-        mp = self.inst.machine(mid)
+        mp = self.machines[mid]
         g = self.inst.globals
         base = self.root.substream(NS_PROP2, mid, check)
         jkey = base.substream(1).key
@@ -337,22 +335,20 @@ class _Sim:
         g = self.inst.globals
         if self.cfg.prop2 and self._suspend_if_unprofitable(mid):
             return False
-        window = self.chrom.psi * max(m.t_pm_full for m in self.inst.machines)
         due = [(mid, t)]
         for mid2, row in self.queues.items():
             if mid2 == mid or self.ptr[mid2] >= len(row):
                 continue
             st2 = self.states[mid2]
-            if not (t <= st2.ready <= t + window):
+            if not (t <= st2.ready <= t + self.pm_window):
                 continue
             if not pm_due(st2, self.chrom.zeta, self.chrom.n_u,
-                          self.inst.machine(mid2)):
+                          self.machines[mid2]):
                 continue
             if self.cfg.prop2 and self._suspend_if_unprofitable(mid2):
                 continue
             due.append((mid2, st2.ready))
-        machines = {m.id: m for m in self.inst.machines}
-        for grp in group_pms(due, machines, self.chrom.psi, self.next_gid):
+        for grp in group_pms(due, self.machines, self.pm_window, self.next_gid):
             self.next_gid += 1
             for member in grp.members:
                 ms = self.states[member]
@@ -376,8 +372,8 @@ class _Sim:
             self.next_copy_id += 1
             copy = Job(id=cid, type=job.type,
                        nominal_times=dict(job.nominal_times), origin=job.id)
-            out.append(_Ent(self.next_eid, -1, copy, None, copy.nominal_times,
-                            ent.args, at))
+            out.append(_Ent(self.next_eid, -1, copy, job.type,
+                            copy.nominal_times, ent.args, at))
             self.next_eid += 1
         return out
 
@@ -475,7 +471,7 @@ class _Sim:
             if job is None:
                 if not summary:
                     self.idle_events.append(IdleEvent(
-                        ent.eid, ent.slot, ent.idle_type, mid, t, p, dv, du_p,
+                        ent.eid, ent.slot, ent.type, mid, t, p, dv, du_p,
                         w, w_after))
             else:
                 if not summary:
@@ -538,7 +534,7 @@ def _place_copies(ctx: RescheduleContext, fill: bool) -> dict[int, list[_Ent]]:
             if not fill or mid not in copy.job.nominal_times:
                 continue
             for pos, ent in enumerate(row):
-                if ent.is_idle and ent.idle_type == copy.job.type:
+                if ent.is_idle and ent.type == copy.job.type:
                     spots.append((pos, mid))
                     break
         if spots:
@@ -590,19 +586,20 @@ def simulate_suffix(ctx: RescheduleContext, queues: dict[int, list[_Ent]],
 def idle_space_count(inst: ProblemInstance, rng: RngStream) -> dict[int, int]:
     """Idle spaces to reserve per type, from one nominal-plan pilot run.
 
-    The pilot spreads jobs round-robin over capable machines in id
-    order, simulates once stochastically, and sizes the reservation as
-    the observed nonconforming count divided by the number of machines
-    capable of that type, rounded up.
+    The pilot deals the jobs of each type round-robin, each job to its
+    own machines in id order, simulates once stochastically, and sizes
+    the reservation as the observed nonconforming count divided by the
+    number of machines a reserved space of that type may sit on,
+    rounded up.
     """
     assign: list[int] = []
     key: list[float] = []
     rr: dict[int, int] = {}
-    caps_by_type = {t: inst.capable_machines(t) for t in inst.job_types()}
-    for i, job in enumerate(inst.jobs):
-        caps = caps_by_type[job.type]
-        assign.append(caps[rr.get(job.type, 0) % len(caps)])
-        rr[job.type] = rr.get(job.type, 0) + 1
+    for i, (job, times) in enumerate(zip(inst.jobs, inst.slot_times(()))):
+        caps = sorted(times)
+        k = rr.get(job.type, 0)
+        assign.append(caps[k % len(caps)])
+        rr[job.type] = k + 1
         key.append((i + 1.0) / (inst.n_jobs + 1.0))
     plan = decode(Chromosome(assign, key, ()), inst)
     trace = simulate(inst, plan, rng.substream(NS_PILOT),
@@ -611,8 +608,8 @@ def idle_space_count(inst: ProblemInstance, rng: RngStream) -> dict[int, int]:
     for ev in trace.job_events:
         if not ev.qualified:
             bad[ev.type] = bad.get(ev.type, 0) + 1
-    return {t: math.ceil(bad.get(t, 0) / len(caps_by_type[t]))
-            for t in caps_by_type}
+    return {t: math.ceil(bad.get(t, 0) / len(inst.capable_machines(t)))
+            for t in inst.job_types()}
 
 
 # -- fitness and objectives -------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from reworkopt.harness import (ExperimentConfig, _padded_bounds,
                                collect_archives, nondominated, run_experiment,
                                score_archives, seed_dir)
-from reworkopt.instances import toy_instance
+from reworkopt.instances import generate_instance, toy_instance
 from reworkopt.model import InvalidInstanceError
 from reworkopt.storage import save_instance
 
@@ -112,3 +112,17 @@ def test_run_refuses_an_invalid_generator_spec(tmp_path):
                            n_rounds=1, outdir=str(tmp_path / "out"))
     with pytest.raises(InvalidInstanceError, match="sigma_q"):
         run_experiment(cfg)
+
+
+def test_run_deals_each_job_to_its_own_machines_in_the_pilot(tmp_path):
+    # job 0 of type 0 loses machine 0, which its type-mates keep: the
+    # pilot must not deal it onto machine 0 by the type's round-robin
+    inst = generate_instance(30, 1)
+    del inst.jobs[0].nominal_times[0]
+    path = str(tmp_path / "inst.txt")
+    save_instance(inst, path)
+    cfg = ExperimentConfig(instance_path=path, pop_size=4, max_iter=2,
+                           n_rounds=1, label_reps=1, seeds=(0,),
+                           outdir=str(tmp_path / "out"))
+    results, _ = run_experiment(cfg)
+    assert results[0]

@@ -9,7 +9,7 @@ from reworkopt.instances import base_machines, toy_instance
 from reworkopt.maintenance import (MachineState, UndefinedLifecycleStats,
                                    cm_required, corrective_maintenance,
                                    group_pms, imperfect_pm, pm_due,
-                                   pm_suspension_check)
+                                   pm_suspension_check, pm_window)
 
 BENCH = {m.id: m for m in base_machines()}
 
@@ -59,7 +59,7 @@ def test_corrective_reset():
 
 
 def test_single_machine_group_duration_and_cost():
-    grps = group_pms([(0, 100.0)], BENCH, psi=0.5)
+    grps = group_pms([(0, 100.0)], BENCH, pm_window(BENCH, 0.5))
     assert len(grps) == 1
     g = grps[0]
     assert g.members == [0]
@@ -69,14 +69,14 @@ def test_single_machine_group_duration_and_cost():
 
 
 def test_zero_window_never_merges():
-    grps = group_pms([(0, 10.0), (1, 10.4)], BENCH, psi=0.0)
+    grps = group_pms([(0, 10.0), (1, 10.4)], BENCH, pm_window(BENCH, 0.0))
     assert [g.members for g in grps] == [[0], [1]]
 
 
 def test_window_merges_and_splits_setup_cost():
     toy = {m.id: m for m in toy_instance().machines}
     # toy setup costs are nonzero, so the shared-setup split is visible
-    grps = group_pms([(0, 10.0), (1, 10.2)], toy, psi=1.0)
+    grps = group_pms([(0, 10.0), (1, 10.2)], toy, pm_window(toy, 1.0))
     assert len(grps) == 1
     g = grps[0]
     assert sorted(g.members) == [0, 1]
@@ -87,7 +87,7 @@ def test_window_merges_and_splits_setup_cost():
 
 
 def test_far_apart_machines_stay_separate():
-    grps = group_pms([(0, 0.0), (1, 500.0)], BENCH, psi=1.0)
+    grps = group_pms([(0, 0.0), (1, 500.0)], BENCH, pm_window(BENCH, 1.0))
     assert [g.members for g in grps] == [[0], [1]]
 
 

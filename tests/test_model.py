@@ -5,7 +5,7 @@ from reworkopt.instances import generate_instance, toy_instance
 from reworkopt.model import (GlobalParams, IncapableMachineError,
                              InvalidInstanceError, Job, MachineParams,
                              ObjectivePair, ProblemInstance, QualitySpec,
-                             require_valid, validate_instance)
+                             dominates, require_valid, validate_instance)
 
 
 def _machine(**kw):
@@ -23,10 +23,16 @@ def _tiny(jobs, machines):
                            GlobalParams(0.2, 0.2, 0.08))
 
 
-def test_job_capability():
-    j = Job(0, 0, {0: 2.0, 2: 2.5})
-    assert j.capable(0) and j.capable(2)
-    assert not j.capable(1)
+def test_slot_table_gives_each_slot_its_own_machines():
+    jobs = [Job(0, 0, {2: 1.0, 0: 3.0}), Job(1, 0, {1: 2.0})]
+    inst = _tiny(jobs, [_machine(id=m) for m in (0, 1, 2)])
+    table = inst.slot_times((0, 0))
+    assert table[0] is jobs[0].nominal_times and table[1] is jobs[1].nominal_times
+    # a reserved space may use every machine of its type, keys ascending
+    assert list(table[2].items()) == [(0, 3.0), (1, 2.0), (2, 1.0)]
+    assert table[3] == table[2]
+    assert inst.slot_times((0, 0)) is table
+    assert inst.slot_times(()) == table[:2]
 
 
 def test_capable_machines_union_over_jobs():
@@ -48,11 +54,11 @@ def test_idle_nominal_defaults_to_mean_times():
 
 def test_objective_dominance():
     a = ObjectivePair(10.0, 5.0)
-    assert a.dominates(ObjectivePair(11.0, 5.0))
-    assert a.dominates(ObjectivePair(10.0, 6.0))
-    assert not a.dominates(ObjectivePair(10.0, 5.0))
-    assert not a.dominates(ObjectivePair(9.0, 50.0))
-    assert not ObjectivePair(9.0, 50.0).dominates(a)
+    assert dominates(a, ObjectivePair(11.0, 5.0))
+    assert dominates(a, ObjectivePair(10.0, 6.0))
+    assert not dominates(a, ObjectivePair(10.0, 5.0))
+    assert not dominates(a, ObjectivePair(9.0, 50.0))
+    assert not dominates(ObjectivePair(9.0, 50.0), a)
 
 
 def test_validate_clean_instances():

@@ -8,7 +8,7 @@ from reworkopt.encoding import decode, random_chromosome
 from reworkopt.improver import make_rescheduler
 from reworkopt.instances import generate_instance, oracle_toy, toy_instance
 from reworkopt.model import (GlobalParams, Job, MachineParams, ProblemInstance,
-                             QualitySpec, require_valid)
+                             QualitySpec, dominates, require_valid)
 from reworkopt.oracle import (OracleSolution, _feasible, check_feasibility,
                               enumerate_pareto, solution_chromosome)
 from reworkopt.rng import NS_INIT, NS_LABEL, NS_ONLINE, RngStream
@@ -181,7 +181,7 @@ def test_enumerated_front_replays_exactly():
         assert front
         pts = [s.objectives for s in front]
         for p in pts:
-            assert not any(q.dominates(p) for q in pts)
+            assert not any(dominates(q, p) for q in pts)
         for sol in front:
             ch = solution_chromosome(inst, sol)
             tr = simulate(inst, decode(ch, inst), RngStream.from_seed(0),

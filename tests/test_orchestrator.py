@@ -1,9 +1,9 @@
 import pytest
 
 from reworkopt.encoding import Chromosome
-from reworkopt.instances import toy_instance
+from reworkopt.instances import generate_instance, toy_instance
 from reworkopt.model import (GlobalParams, Job, MachineParams, ObjectivePair,
-                             ProblemInstance, QualitySpec)
+                             ProblemInstance, QualitySpec, dominates)
 from reworkopt.orchestrator import (DpeiaConfig, ParetoArchive,
                                     _pilot_idle_types, allocate_budget, dpeia,
                                     random_search)
@@ -61,7 +61,7 @@ def test_archive_keeps_only_nondominated_points():
     assert ObjectivePair(10.0, 5.0) not in pts
     assert ObjectivePair(9.0, 6.0) not in pts
     for p in pts:
-        assert not any(q.dominates(p) for q in pts)
+        assert not any(dominates(q, p) for q in pts)
     assert pts == sorted(pts, key=lambda o: (o.makespan, o.maint_cost))
 
 
@@ -124,7 +124,7 @@ def test_optimizer_round_trip_bookkeeping():
     assert len(res.archive) >= 1
     pts = res.archive.points()
     for p in pts:
-        assert not any(q.dominates(p) for q in pts)
+        assert not any(dominates(q, p) for q in pts)
     assert res.schedule.total == 4
     assert len(res.rounds_log) == 2
     sizes = [row["archive_size"] for row in res.rounds_log]
@@ -170,4 +170,14 @@ def test_random_search_consumes_the_requested_budget():
     pts = a.archive.points()
     assert pts
     for p in pts:
-        assert not any(q.dominates(p) for q in pts)
+        assert not any(dominates(q, p) for q in pts)
+
+
+def test_dpeia_keeps_a_job_off_the_machines_only_its_type_mates_have():
+    # job 0 of type 0 loses machine 3; recombination's load rebalance
+    # once moved it there because the type as a whole can use machine 3
+    inst = generate_instance(30, 1)
+    del inst.jobs[0].nominal_times[3]
+    res = dpeia(inst, DpeiaConfig(pop_size=20, max_iter=4, n_rounds=2), seed=1)
+    assert res.archive.entries
+    assert all(ind.chrom.assign[0] in (0, 2) for ind in res.pop)

@@ -1,18 +1,23 @@
+import dataclasses
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reworkopt import planner as planner_mod
 from reworkopt.encoding import Chromosome, GeneBounds, decode, random_chromosome
 from reworkopt.instances import generate_instance, toy_instance
 from reworkopt.model import (GlobalParams, Job, MachineParams, ProblemInstance,
-                             QualitySpec)
+                             QualitySpec, validate_instance)
+from reworkopt.oracle import check_feasibility
 from reworkopt.planner import (Individual, PlannerConfig, _roulette,
                                busiest_idlest_move, control_param, de_operator,
                                det_preview, init_population, label_static_obj,
                                mutate_genes, plan, prop1_swap, re_operator,
                                rebalance, similarity)
-from reworkopt.rng import NS_INIT, RngStream
-from reworkopt.simulate import idle_space_count
+from reworkopt.rng import NS_INIT, NS_LABEL, RngStream
+from reworkopt.simulate import STATIC, SimConfig, idle_space_count, simulate
 
 
 def _flat(**kw):
@@ -306,3 +311,59 @@ def test_two_generations_on_a_generated_instance_are_pinned():
     for ind in pop:
         h.update(repr((ind.chrom.digest(), ind.label, ind.obj)).encode())
     assert h.hexdigest() == PINNED_POPULATION
+
+
+def _pilot_types(inst, master):
+    counts = idle_space_count(inst, master.substream(NS_INIT))
+    return tuple(t for t in sorted(counts) for _ in range(counts[t]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(6, 24), st.integers(0, 1000), st.integers(0, 1000),
+       st.lists(st.tuples(st.integers(0, 23), st.integers(0, 2)),
+                min_size=1, max_size=8))
+def test_jobs_with_their_own_machines_plan_and_run_feasibly(n, gen_seed, seed,
+                                                            drops):
+    """Jobs of one type may differ in their machines: the pilot, both
+    search regimes and a static run keep every job on its own."""
+    inst = generate_instance(n, gen_seed)
+    for i, k in drops:
+        times = inst.jobs[i % n].nominal_times
+        if len(times) > 1:
+            del times[sorted(times)[k % len(times)]]
+    assert validate_instance(inst) == []
+    master = RngStream.from_seed(seed)
+    idle_types = _pilot_types(inst, master)
+    pop, _ = plan(inst, 2, master, PlannerConfig(pop_size=6, label_reps=1),
+                  idle_types=idle_types, max_iter=4)
+    for ind in pop:
+        tr = simulate(inst, decode(ind.chrom, inst),
+                      master.substream(NS_LABEL, 0), SimConfig(mode=STATIC))
+        assert check_feasibility(inst, tr) == []
+
+
+def _events(trace):
+    return [dataclasses.astuple(ev) for evs in (
+        trace.job_events, trace.idle_events, trace.maint_events) for ev in evs]
+
+
+def test_previews_are_kept_and_still_counted(monkeypatch):
+    inst = generate_instance(20, 0)
+    master = RngStream.from_seed(3)
+    counter = [0]
+    cfg = PlannerConfig(pop_size=6, label_reps=2, counter=counter)
+    made = []
+    orig = planner_mod.det_preview
+    monkeypatch.setattr(planner_mod, "det_preview",
+                        lambda *a: made.append(a[1]) or orig(*a))
+    pop, _ = plan(inst, 4, master, cfg, max_iter=4)
+    # generations 2 to 4 refine, previewing each of their 6 parents
+    previews = 3 * 6
+    assert counter[0] == (1 + 4) * 6 * 2 + previews
+    assert len(made) < previews
+    kept = [ind for ind in pop if ind.preview is not None]
+    assert kept
+    for ind in kept:
+        plan_, tr = orig(inst, ind.chrom, master, cfg)
+        assert ind.preview[0].order == plan_.order
+        assert _events(ind.preview[1]) == _events(tr)
