@@ -376,7 +376,8 @@ def emode_step(pop: list[Individual], iteration: int, max_iter: int,
             if ind.preview is None:
                 ind.preview = det_preview(inst, ind.chrom, master, cfg)
             elif cfg.counter is not None:
-                cfg.counter[0] += 1     # a reused preview counts as a call
+                # counted as a run, as improver._score counts a reused projection
+                cfg.counter[0] += 1
             plan, preview = ind.preview
             cands = [(mid, pos) for mid, slots in plan.order.items()
                      for pos in range(len(slots) - 1)]
