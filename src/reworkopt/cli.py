@@ -21,7 +21,7 @@ from .harness import (ExperimentConfig, collect_archives, nondominated,
                       run_experiment, write_aggregate_report)
 from .improver import make_rescheduler
 from .instances import generate_instance, oracle_toy, toy_instance
-from .model import InvalidInstanceError
+from .model import InvalidInstanceError, InvalidOptionError
 from .oracle import check_feasibility, enumerate_pareto
 from .orchestrator import _pilot_idle_types
 from .rng import NS_INIT, NS_ONLINE, RngStream
@@ -40,23 +40,16 @@ def _parse_seeds(text: str):
 
 
 def _cmd_generate(args):
-    inst = generate_instance(args.n_jobs, args.seed, sigma_q=args.sigma_q,
-                             coeff_set=args.coeff_set, type_mix=args.type_mix)
-    storage.save_instance(inst, args.out)
-    print("wrote %s (%d jobs, %d machines)" % (args.out, inst.n_jobs,
+    out = vars(args).pop("out")
+    inst = generate_instance(**vars(args))
+    storage.save_instance(inst, out)
+    print("wrote %s (%d jobs, %d machines)" % (out, inst.n_jobs,
                                                len(inst.machines)))
     return 0
 
 
 def _cmd_run(args):
-    cfg = ExperimentConfig(
-        n_jobs=args.n_jobs, sigma_q=args.sigma_q, type_mix=args.type_mix,
-        coeff_set=args.coeff_set, gen_seed=args.gen_seed,
-        instance_path=args.instance, pop_size=args.pop_size,
-        max_iter=args.max_iter, n_rounds=args.rounds, elites=args.elites,
-        varpi=args.varpi, mu_c=args.mu_c, sigma_c=args.sigma_c,
-        label_reps=args.label_reps, det=args.det, seeds=args.seeds,
-        outdir=args.out, jobs=args.jobs, reference_path=args.reference)
+    cfg = ExperimentConfig(**vars(args))
     results, report_path = run_experiment(cfg)
     for seed in sorted(results):
         print("seed %d: %d archive points" % (seed, len(results[seed])))
@@ -137,40 +130,44 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    g = sub.add_parser("generate", help="write a benchmark instance file")
-    g.add_argument("--n-jobs", type=int, default=100,
-                   help="benchmark sizes are 100/200/300")
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--sigma-q", type=float, default=0.06,
+    # generate and run leave an unset flag out, so generate_instance and
+    # ExperimentConfig supply its default; each dest is their parameter
+    g = sub.add_parser("generate", help="write a benchmark instance file",
+                       argument_default=argparse.SUPPRESS)
+    g.add_argument("--n-jobs", type=int, help="benchmark sizes are 100/200/300")
+    g.add_argument("--seed", type=int)
+    g.add_argument("--sigma-q", type=float,
                    help="benchmark spreads are 0.03/0.06/0.09")
-    g.add_argument("--coeff-set", default="alternate")
-    g.add_argument("--type-mix", type=float, default=0.5)
+    g.add_argument("--coeff-set")
+    g.add_argument("--type-mix", type=float)
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_generate)
 
-    r = sub.add_parser("run", help="run the optimizer over seeds")
-    r.add_argument("--instance", help="instance file; omit to generate")
-    r.add_argument("--n-jobs", type=int, default=100)
-    r.add_argument("--sigma-q", type=float, default=0.06)
-    r.add_argument("--type-mix", type=float, default=0.5)
-    r.add_argument("--coeff-set", default="alternate")
-    r.add_argument("--gen-seed", type=int, default=0)
-    r.add_argument("--seeds", type=_parse_seeds, default=(0,),
+    r = sub.add_parser("run", help="run the optimizer over seeds",
+                       argument_default=argparse.SUPPRESS)
+    r.add_argument("--instance", dest="instance_path",
+                   help="instance file; omit to generate")
+    r.add_argument("--n-jobs", type=int)
+    r.add_argument("--sigma-q", type=float)
+    r.add_argument("--type-mix", type=float)
+    r.add_argument("--coeff-set")
+    r.add_argument("--gen-seed", type=int)
+    r.add_argument("--seeds", type=_parse_seeds,
                    help="comma list '0,3,7' or range '0:50'")
-    r.add_argument("--pop-size", type=int, default=20)
-    r.add_argument("--max-iter", type=int, default=60)
-    r.add_argument("--rounds", type=int, default=4)
-    r.add_argument("--elites", type=int, default=None)
-    r.add_argument("--varpi", type=float, default=0.5)
-    r.add_argument("--mu-c", type=float, default=0.0)
-    r.add_argument("--sigma-c", type=float, default=1.13)
-    r.add_argument("--label-reps", type=int, default=5)
+    r.add_argument("--pop-size", type=int)
+    r.add_argument("--max-iter", type=int)
+    r.add_argument("--rounds", dest="n_rounds", type=int)
+    r.add_argument("--elites", type=int)
+    r.add_argument("--varpi", type=float)
+    r.add_argument("--mu-c", type=float)
+    r.add_argument("--sigma-c", type=float)
+    r.add_argument("--label-reps", type=int)
     r.add_argument("--det", action="store_true",
                    help="mean-value dynamics (debugging)")
-    r.add_argument("--jobs", type=int, default=1,
-                   help="concurrent seeds")
-    r.add_argument("--reference", help="archive file used as reference front")
-    r.add_argument("--out", required=True)
+    r.add_argument("--jobs", type=int, help="concurrent seeds")
+    r.add_argument("--reference", dest="reference_path",
+                   help="archive file used as reference front")
+    r.add_argument("--out", dest="outdir", required=True)
     r.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("report", help="recompute indicators for a run directory")
@@ -207,12 +204,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one verb; a refused instance or file is a one-line error and
-    exit status 2."""
+    """Run one verb; a refused option, instance or file is a one-line
+    error and exit status 2."""
     args = build_parser().parse_args(argv)
+    del args.verb                       # leave the verb's own options only
+    cmd = vars(args).pop("func")
     try:
-        return args.func(args)
-    except (InvalidInstanceError, storage.FormatError) as err:
+        return cmd(args)
+    except (InvalidOptionError, InvalidInstanceError,
+            storage.FormatError) as err:
         print("reworkopt: %s" % err, file=sys.stderr)
         return 2
 

@@ -11,7 +11,7 @@ preventive cap n_u.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 from .model import IncapableMachineError, ProblemInstance
 from .rng import RngStream
@@ -32,13 +32,11 @@ class Chromosome:
         return len(self.assign)
 
     def copy(self) -> "Chromosome":
-        return Chromosome(list(self.assign), list(self.key), self.idle_types,
-                          self.zeta, self.psi, self.thr_r, self.n_u)
+        return replace(self, assign=list(self.assign), key=list(self.key))
 
     def digest(self) -> str:
         h = hashlib.sha1()
-        h.update(repr((self.assign, self.key, self.idle_types, self.zeta,
-                       self.psi, self.thr_r, self.n_u)).encode())
+        h.update(repr(tuple(getattr(self, f.name) for f in fields(self))).encode())
         return h.hexdigest()[:16]
 
     def slot_type(self, inst: ProblemInstance, slot: int) -> int:

@@ -13,32 +13,34 @@ import os
 from dataclasses import asdict, dataclass
 
 from . import __version__, storage
-from .instances import generate_instance
+from .instances import GENERATOR_DEFAULTS, generate_instance
 from .metrics import bounds_of, hypervolume, igd, normalize, rpd
-from .model import front_insert
-from .orchestrator import DpeiaConfig, dpeia
+from .model import InvalidOptionError, front_insert
+from .orchestrator import DpeiaConfig, carry, dpeia
 
 
 @dataclass
 class ExperimentConfig:
-    """Everything a run needs; benchmark sizes are 100/200/300 jobs with
-    quality spread 0.03/0.06/0.09, but any positive size is accepted."""
+    """Everything a run needs.  The generator spec defaults as
+    instances.generate_instance does, the algorithm's options as
+    DpeiaConfig does.  Construction checks every option (raising
+    InvalidOptionError), so a refused run writes nothing."""
 
-    n_jobs: int = 100
-    sigma_q: float = 0.06
-    type_mix: float = 0.5
-    coeff_set: str = "alternate"
-    gen_seed: int = 0
+    n_jobs: int = GENERATOR_DEFAULTS["n_jobs"]
+    sigma_q: float = GENERATOR_DEFAULTS["sigma_q"]
+    type_mix: float = GENERATOR_DEFAULTS["type_mix"]
+    coeff_set: str = GENERATOR_DEFAULTS["coeff_set"]
+    gen_seed: int = GENERATOR_DEFAULTS["seed"]
     instance_path: str | None = None    # set: load this file, ignore the generator spec
-    pop_size: int = 20
-    max_iter: int = 60
-    n_rounds: int = 4
-    elites: int | None = None
-    varpi: float = 0.5
-    mu_c: float = 0.0
-    sigma_c: float = 1.13
-    label_reps: int = 5
-    det: bool = False
+    pop_size: int = DpeiaConfig.pop_size
+    max_iter: int = DpeiaConfig.max_iter
+    n_rounds: int = DpeiaConfig.n_rounds
+    elites: int | None = DpeiaConfig.elites
+    varpi: float = DpeiaConfig.varpi
+    mu_c: float = DpeiaConfig.mu_c
+    sigma_c: float = DpeiaConfig.sigma_c
+    label_reps: int = DpeiaConfig.label_reps
+    det: bool = DpeiaConfig.det
     seeds: tuple[int, ...] = (0,)
     outdir: str = "runs"
     jobs: int = 1                       # concurrent seeds
@@ -46,16 +48,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not self.seeds:
-            raise ValueError("need at least one seed")
+            raise InvalidOptionError("need at least one seed")
         if self.instance_path is None and self.n_jobs < 1:
-            raise ValueError("generator spec needs a positive job count")
+            raise InvalidOptionError("generator spec needs a positive job count")
+        self.algo()
 
     def algo(self) -> DpeiaConfig:
-        return DpeiaConfig(pop_size=self.pop_size, max_iter=self.max_iter,
-                           n_rounds=self.n_rounds, varpi=self.varpi,
-                           mu_c=self.mu_c, sigma_c=self.sigma_c,
-                           elites=self.elites, label_reps=self.label_reps,
-                           det=self.det)
+        return carry(self, DpeiaConfig)
 
 
 def resolve_instance(cfg: ExperimentConfig):
@@ -77,10 +76,8 @@ def _run_one_seed(inst, cfg: ExperimentConfig, seed: int):
     sdir = seed_dir(cfg.outdir, seed)
     storage.ensure_dir(sdir)
     storage.save_archive(rows, os.path.join(sdir, "archive.tsv"))
-    config = asdict(cfg)
-    config["seeds"] = list(cfg.seeds)
     storage.save_manifest(
-        {"version": __version__, "seed": seed, "config": config,
+        {"version": __version__, "seed": seed, "config": asdict(cfg),
          "budgets": [list(b) for b in res.schedule.rounds],
          "rounds": res.rounds_log, "sim_calls": res.sim_calls,
          "idle_types": list(res.idle_types),

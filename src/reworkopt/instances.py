@@ -15,10 +15,11 @@ Machine ids are 0-based throughout.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import replace
 
-from .model import (GlobalParams, Job, MachineParams, ProblemInstance,
-                    QualitySpec, require_valid)
+from .model import (GlobalParams, InvalidOptionError, Job, MachineParams,
+                    ProblemInstance, QualitySpec, require_valid)
 from .rng import RngStream
 
 _NS_JOBGEN = 10
@@ -60,9 +61,9 @@ TYPE_XI = {0: 0.08, 1: 0.07}
 BASE_GLOBALS = GlobalParams(eta=0.2, theta=0.2, varphi=0.08, noise_sigma=1.0)
 
 
-def base_machines(coeff_set: str = "alternate") -> list[MachineParams]:
+def base_machines(coeff_set: str) -> list[MachineParams]:
     if coeff_set not in _COEFFS:
-        raise ValueError(f"unknown coefficient set {coeff_set!r}")
+        raise InvalidOptionError(f"unknown coefficient set {coeff_set!r}")
     coeffs = _COEFFS[coeff_set]
     out = []
     for k in range(4):
@@ -91,7 +92,7 @@ def _interleave_types(n: int, mix: float) -> list[int]:
     return types
 
 
-def generate_instance(n_jobs: int, seed: int, sigma_q: float = 0.06,
+def generate_instance(n_jobs: int = 100, seed: int = 0, sigma_q: float = 0.06,
                       coeff_set: str = "alternate",
                       type_mix: float = 0.5) -> ProblemInstance:
     """The benchmark system loaded with n_jobs fresh jobs.
@@ -120,6 +121,11 @@ def generate_instance(n_jobs: int, seed: int, sigma_q: float = 0.06,
         meta={"kind": "generated", "n_jobs": n_jobs, "seed": seed,
               "sigma_q": sigma_q, "coeff_set": coeff_set,
               "type_mix": type_mix}))
+
+
+# generate_instance's defaults by parameter name, for configs that feed it
+GENERATOR_DEFAULTS = {name: p.default for name, p in
+                      inspect.signature(generate_instance).parameters.items()}
 
 
 # -- small instances for tests ----------------------------------------

@@ -4,7 +4,8 @@ threshold triggering, joint grouping and the suspension screen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 from .model import MachineParams
 
@@ -35,9 +36,11 @@ class MachineState:
     cyc_cost: float = 0.0
 
     def copy(self) -> "MachineState":
-        return MachineState(self.machine_id, self.w, self.n_pm, self.suspended,
-                            self.ready, self.last_start, self.maint_acc,
-                            self.cyc_jobs, self.cyc_busy, self.cyc_cost)
+        return MachineState(*_state_fields(self))
+
+
+# copy() goes through __init__: touching __dict__ slows attribute access
+_state_fields = attrgetter(*(f.name for f in fields(MachineState)))
 
 
 @dataclass

@@ -23,6 +23,10 @@ class IncapableMachineError(ValueError):
     """A slot was assigned to a machine that cannot process its job type."""
 
 
+class InvalidOptionError(ValueError):
+    """A run option is out of the range its config accepts."""
+
+
 class InvalidInstanceError(ValueError):
     """An instance breaks an invariant the simulator relies on."""
 
@@ -51,9 +55,6 @@ class QualitySpec:
     sigma_q: float
     lo: float               # truncation bounds for incoming quality
     hi: float
-
-    def conforms(self, d: float) -> bool:
-        return abs(d - self.target) < self.tol
 
 
 @dataclass
@@ -219,6 +220,8 @@ def validate_instance(inst: ProblemInstance) -> list[str]:
     """Collect invariant violations; an empty list means the instance is
     usable."""
     errs: list[str] = []
+    if not inst.jobs:
+        errs.append("no jobs")
     seen_jobs: set[int] = set()
     mids = {m.id for m in inst.machines}
     if len(mids) != len(inst.machines):

@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass
 
 from .encoding import Chromosome
-from .model import ObjectivePair, ProblemInstance, front_insert
+from .model import (InvalidOptionError, ObjectivePair, ProblemInstance,
+                    front_insert)
 from .simulate import ScheduleTrace
 
 _TOL = 1e-9
@@ -263,11 +264,11 @@ def enumerate_pareto(inst: ProblemInstance,
     policy-reachable maintenance pattern, deterministic dynamics.
 
     Only instances up to max_jobs jobs are accepted (the space grows
-    factorially); anything larger raises ValueError.
+    factorially); anything larger raises InvalidOptionError.
     """
     n = inst.n_jobs
     if n > max_jobs:
-        raise ValueError(f"{n} jobs exceed the enumeration limit {max_jobs}")
+        raise InvalidOptionError(f"{n} jobs exceed the enumeration limit {max_jobs}")
     zmin, zmax = zeta_bounds
     mids = [m.id for m in inst.machines]
     cap_lists = [sorted(j.nominal_times) for j in inst.jobs]

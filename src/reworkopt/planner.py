@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .encoding import (Chromosome, GeneBounds, SchedulePlan, decode,
                        random_chromosome)
-from .model import ProblemInstance, dominates
+from .model import InvalidOptionError, ProblemInstance, dominates
 from .rng import NS_LABEL, NS_SEARCH, RngStream, shared_draws
 from .simulate import (STATIC, ScheduleTrace, SimConfig, fitness_static,
                        prepare, simulate)
@@ -26,8 +26,7 @@ from .simulate import (STATIC, ScheduleTrace, SimConfig, fitness_static,
 @dataclass
 class Individual:
     chrom: Chromosome
-    label: float = 0.0
-    kind: str = "static"        # which fitness produced the label
+    label: float = 0.0          # planning fitness, or execution fitness once run online
     obj: tuple[float, float] | None = None   # (C_max, maint cost) behind it
     # det_preview of chrom, kept: it depends on inst, chrom and prop2 only
     preview: tuple[SchedulePlan, ScheduleTrace] | None = field(
@@ -41,7 +40,12 @@ class PlannerConfig:
     det: bool = False
     prop2: bool = True
     bounds: GeneBounds = field(default_factory=GeneBounds)
-    counter: list | None = None
+    counter: list = field(default_factory=lambda: [0])  # [0]: runs requested
+
+    def __post_init__(self):
+        if self.pop_size < 1 or self.label_reps < 1:
+            raise InvalidOptionError(f"population size {self.pop_size} and label "
+                                     f"replications {self.label_reps} must be positive")
 
 
 def control_param(iteration: int, max_iter: int) -> float:
@@ -62,8 +66,8 @@ def label_static_obj(inst: ProblemInstance, chrom: Chromosome,
     decoded and prepared once; every replication replays it.
     """
     plan = prepare(inst, decode(chrom, inst))
-    sim_cfg = SimConfig(mode=STATIC, det=cfg.det, prop2=cfg.prop2,
-                        counter=cfg.counter, summary=True)
+    cfg.counter[0] += cfg.label_reps
+    sim_cfg = SimConfig(mode=STATIC, det=cfg.det, prop2=cfg.prop2, summary=True)
     total = 0.0
     mk = 0.0
     mc = 0.0
@@ -198,8 +202,7 @@ def det_preview(inst: ProblemInstance, chrom: Chromosome,
     """Deterministic static run used to audit swaps and measure load."""
     plan = decode(chrom, inst)
     tr = simulate(inst, plan, master.substream(NS_LABEL, 0),
-                  SimConfig(mode=STATIC, det=True, prop2=cfg.prop2,
-                            counter=cfg.counter))
+                  SimConfig(mode=STATIC, det=True, prop2=cfg.prop2))
     return plan, tr
 
 
@@ -375,9 +378,7 @@ def emode_step(pop: list[Individual], iteration: int, max_iter: int,
         else:
             if ind.preview is None:
                 ind.preview = det_preview(inst, ind.chrom, master, cfg)
-            elif cfg.counter is not None:
-                # counted as a run, as improver._score counts a reused projection
-                cfg.counter[0] += 1
+            cfg.counter[0] += 1     # kept too, as _score counts a reused projection
             plan, preview = ind.preview
             cands = [(mid, pos) for mid, slots in plan.order.items()
                      for pos in range(len(slots) - 1)]
@@ -390,7 +391,7 @@ def emode_step(pop: list[Individual], iteration: int, max_iter: int,
                 child = busiest_idlest_move(ind.chrom, inst, preview, srng)
         mutate_genes(child, srng, cfg.bounds)
         lbl, obj = label_static_obj(inst, child, master, cfg)
-        children.append(Individual(child, lbl, "static", obj))
+        children.append(Individual(child, lbl, obj))
     return _roulette(pop + children, len(pop), srng)
 
 
@@ -402,7 +403,7 @@ def init_population(inst: ProblemInstance, idle_types: tuple[int, ...],
         for _ in range(cfg.pop_size):
             ch = random_chromosome(inst, idle_types, irng, cfg.bounds)
             lbl, obj = label_static_obj(inst, ch, master, cfg)
-            pop.append(Individual(ch, lbl, "static", obj))
+            pop.append(Individual(ch, lbl, obj))
     return pop
 
 

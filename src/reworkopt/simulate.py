@@ -172,7 +172,6 @@ class SimConfig:
     det: bool = False
     prop2: bool = True
     rescheduler: "object" = None             # callable(ctx) -> (queues, f_r)
-    counter: list | None = None              # shared invocation counter
     summary: bool = False                    # internal: no per-event records
 
 
@@ -242,8 +241,6 @@ class _Sim:
         self.next_gid = 0
         self.prop2_checks: dict[int, int] = {mid: 0 for mid in queues}
         self.pending_trigger: float | None = None
-        if cfg.counter is not None:
-            cfg.counter[0] += 1
 
     # -- helpers -------------------------------------------------------
 

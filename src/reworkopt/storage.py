@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import fields
 
 from .model import (
     GlobalParams,
@@ -42,15 +43,6 @@ def _check_tag(lines, tag, path):
 
 # ---------------------------------------------------------------- instances
 
-_MACHINE_FIELDS = [
-    "w0", "cap", "mu_minus", "sigma_minus", "mu_plus", "sigma_plus",
-    "alpha", "beta", "ups0", "a", "b0", "gamma",
-    "t_pm", "t_ps", "t_cm", "c_pm", "c_ps", "c_cm",
-]
-_QUALITY_FIELDS = ["target", "tol", "mu_q", "sigma_q", "lo", "hi"]
-_GLOBAL_FIELDS = ["eta", "theta", "varphi", "noise_sigma"]
-
-
 def dump_instance(inst: ProblemInstance) -> str:
     """Render an instance as structured text.
 
@@ -60,21 +52,11 @@ def dump_instance(inst: ProblemInstance) -> str:
     """
     out = [INSTANCE_TAG]
     out.append("# time units: processing/maintenance durations; wear: dimensionless; cost: currency")
-    out.append("")
-    out.append("[globals]")
-    for name in _GLOBAL_FIELDS:
-        out.append("%s = %s" % (name, _f(getattr(inst.globals, name))))
+    _record(out, "[globals]", inst.globals)
     for m in inst.machines:
-        out.append("")
-        out.append("[machine %d]" % m.id)
-        for name in _MACHINE_FIELDS:
-            out.append("%s = %s" % (name, _f(getattr(m, name))))
+        _record(out, "[machine %d]" % m.id, m)
     for jtype in sorted(inst.quality):
-        spec = inst.quality[jtype]
-        out.append("")
-        out.append("[quality %d]" % jtype)
-        for name in _QUALITY_FIELDS:
-            out.append("%s = %s" % (name, _f(getattr(spec, name))))
+        _record(out, "[quality %d]" % jtype, inst.quality[jtype])
     for j in inst.jobs:
         out.append("")
         out.append("[job %d]" % j.id)
@@ -96,6 +78,15 @@ def dump_instance(inst: ProblemInstance) -> str:
     return "\n".join(out)
 
 
+def _record(out: list[str], head: str, record) -> None:
+    """A parameter record's section: one line per field in declaration
+    order, except a machine's id, which is the section's number."""
+    out += ["", head]
+    for f in fields(record):
+        if f.name != "id":
+            out.append("%s = %s" % (f.name, _f(getattr(record, f.name))))
+
+
 def save_instance(inst: ProblemInstance, path) -> None:
     with open(path, "w") as fh:
         fh.write(dump_instance(inst))
@@ -115,9 +106,9 @@ def _parse_instance(text: str, path) -> ProblemInstance:
     lines = text.splitlines()
     _check_tag(lines, INSTANCE_TAG, path)
     section = None
-    globals_kv: dict[str, float] = {}
-    machines: list[tuple[int, dict]] = []
-    quality: list[tuple[int, dict]] = []
+    # parameter records by section name: (number, {field: value}) in order
+    records: dict[str, list[tuple[int | None, dict]]] = {
+        "globals": [(None, {})], "machine": [], "quality": []}
     jobs: list[dict] = []
     idle: dict[int, dict[int, float]] = {}
     meta: dict = {}
@@ -128,10 +119,8 @@ def _parse_instance(text: str, path) -> ProblemInstance:
         if line.startswith("["):
             head = line.strip("[]").split()
             section = head[0]
-            if section == "machine":
-                machines.append((int(head[1]), {}))
-            elif section == "quality":
-                quality.append((int(head[1]), {}))
+            if section in ("machine", "quality"):
+                records[section].append((int(head[1]), {}))
             elif section == "job":
                 jobs.append({"id": int(head[1]), "nominal_times": {}, "origin": None})
             elif section == "idle":
@@ -141,12 +130,8 @@ def _parse_instance(text: str, path) -> ProblemInstance:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if section == "globals":
-            globals_kv[key] = float(value)
-        elif section == "machine":
-            machines[-1][1][key] = float(value)
-        elif section == "quality":
-            quality[-1][1][key] = float(value)
+        if section in records:
+            records[section][-1][1][key] = float(value)
         elif section == "job":
             if key == "type":
                 jobs[-1]["type"] = int(value)
@@ -164,9 +149,9 @@ def _parse_instance(text: str, path) -> ProblemInstance:
             raise FormatError("%s: stray line %r" % (path, raw))
     inst = ProblemInstance(
         jobs=[Job(j["id"], j["type"], j["nominal_times"], j["origin"]) for j in jobs],
-        machines=[MachineParams(mid, **kv) for mid, kv in machines],
-        quality={t: QualitySpec(**kv) for t, kv in quality},
-        globals=GlobalParams(**globals_kv),
+        machines=[MachineParams(mid, **kv) for mid, kv in records["machine"]],
+        quality={t: QualitySpec(**kv) for t, kv in records["quality"]},
+        globals=GlobalParams(**records["globals"][0][1]),
         idle_nominal=idle,
         meta=meta,
     )

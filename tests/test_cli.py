@@ -6,8 +6,9 @@ import pytest
 
 import reworkopt
 from reworkopt.cli import _parse_seeds, build_parser, main
+from reworkopt.instances import toy_instance
 from reworkopt.storage import (ARCHIVE_TAG, load_archive, load_instance,
-                               load_manifest, load_report)
+                               load_manifest, load_report, save_instance)
 
 
 def test_seed_list_parsing():
@@ -131,3 +132,42 @@ def test_a_malformed_instance_file_is_a_one_line_error(tmp_path, capsys):
                  "--out", str(tmp_path / "g.svg")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("reworkopt: ") and err.count("\n") == 1
+
+
+# small enough that a run which wrongly goes ahead ends quickly
+_SMALL = ["--n-jobs", "6", "--pop-size", "2", "--max-iter", "2",
+          "--rounds", "1", "--label-reps", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", *_SMALL, "--label-reps", "0"],
+    ["run", *_SMALL, "--pop-size", "0"],
+    ["run", *_SMALL, "--elites", "0"],
+    ["run", *_SMALL, "--elites", "-1"],
+    ["run", *_SMALL, "--max-iter", "2", "--rounds", "4"],
+    ["run", *_SMALL, "--varpi", "0"],
+    ["run", *_SMALL, "--n-jobs", "0"],
+    ["run", *_SMALL, "--coeff-set", "foo"],
+    ["generate", "--coeff-set", "foo"],
+    ["generate", "--n-jobs", "0"],
+    ["oracle", "--n-jobs", "12"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_a_refused_option_is_a_one_line_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    if argv[0] != "oracle":
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("reworkopt: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_a_run_refuses_an_instance_file_without_jobs(tmp_path, capsys):
+    empty = toy_instance(0)
+    path = tmp_path / "empty.txt"
+    save_instance(empty, path)
+    out = tmp_path / "out"
+    assert main(["run", "--instance", str(path), *_SMALL[2:],
+                 "--out", str(out)]) == 2
+    assert "no jobs" in capsys.readouterr().err
+    assert not out.exists()

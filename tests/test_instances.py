@@ -8,7 +8,7 @@ from reworkopt.model import InvalidInstanceError, validate_instance
 
 
 def test_benchmark_machine_zero_fields():
-    m = base_machines()[0]
+    m = base_machines("alternate")[0]
     assert m.id == 0
     assert m.w0 == 0.1
     assert m.cap == 0.35
@@ -32,7 +32,7 @@ def test_benchmark_machine_zero_fields():
 
 
 def test_benchmark_cost_and_wear_columns():
-    ms = base_machines()
+    ms = base_machines("alternate")
     assert [m.c_cm for m in ms] == [1312.0, 1028.0, 876.0, 832.0]
     assert [m.c_pm for m in ms] == [430.0, 275.0, 230.0, 195.0]
     assert [m.t_cm for m in ms] == [44.75, 40.50, 36.64, 36.64]

@@ -1,6 +1,8 @@
 """Maintenance policy unit tests: imperfect restoration, thresholds,
 grouping and the payoff screen."""
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,7 +13,7 @@ from reworkopt.maintenance import (MachineState, UndefinedLifecycleStats,
                                    group_pms, imperfect_pm, pm_due,
                                    pm_suspension_check, pm_window)
 
-BENCH = {m.id: m for m in base_machines()}
+BENCH = {m.id: m for m in base_machines("alternate")}
 
 
 def test_imperfect_pm_goldens():
@@ -56,6 +58,16 @@ def test_corrective_reset():
     assert st_.n_pm == 0
     assert not st_.suspended
     assert (st_.cyc_jobs, st_.cyc_busy, st_.cyc_cost) == (0, 0.0, 0.0)
+
+
+def test_state_copy_keeps_every_field_and_shares_nothing():
+    # suffix projections run on copies: a field the copy dropped would
+    # be reset in every projection
+    st_ = MachineState(**{f.name: k + 1 for k, f in enumerate(fields(MachineState))})
+    cp = st_.copy()
+    assert cp == st_ and cp is not st_
+    cp.w = -1.0
+    assert st_.w == 2
 
 
 def test_single_machine_group_duration_and_cost():

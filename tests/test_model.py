@@ -165,8 +165,3 @@ def test_decode_rejects_incapable_assignment():
     with pytest.raises(IncapableMachineError):
         decode(ch, inst)
 
-
-def test_conforms_strict():
-    spec = QualitySpec(10.0, 0.25, 10.0, 0.01, 9.0, 11.0)
-    assert spec.conforms(10.2)
-    assert not spec.conforms(10.25)

@@ -15,7 +15,7 @@ from reworkopt.encoding import decode
 def test_budget_split_conserves_the_total():
     for total, rounds in [(100, 4), (60, 4), (10, 3), (5, 5), (7, 2), (48, 8)]:
         s = allocate_budget(total, rounds)
-        assert s.total == total
+        assert sum(p + o for p, o in s.rounds) == total
         assert len(s.rounds) == rounds
         assert all(p >= 0 and o >= 0 for p, o in s.rounds)
 
@@ -56,13 +56,12 @@ def test_archive_keeps_only_nondominated_points():
     assert len(a) == 3
     # a dominating point evicts the dominated ones
     assert a.add(ObjectivePair(8.0, 4.0), _ch(), 2, 1, 0.2)
-    pts = a.points()
+    pts = sorted(e.objectives for e in a.entries)
     assert ObjectivePair(8.0, 4.0) in pts
     assert ObjectivePair(10.0, 5.0) not in pts
     assert ObjectivePair(9.0, 6.0) not in pts
     for p in pts:
         assert not any(dominates(q, p) for q in pts)
-    assert pts == sorted(pts, key=lambda o: (o.makespan, o.maint_cost))
 
 
 def _flat(**kw):
@@ -122,15 +121,17 @@ def test_optimizer_round_trip_bookkeeping():
     inst = toy_instance(8, seed=1)
     res = dpeia(inst, _small_cfg(), seed=3)
     assert len(res.archive) >= 1
-    pts = res.archive.points()
+    pts = [e.objectives for e in res.archive.entries]
     for p in pts:
         assert not any(dominates(q, p) for q in pts)
-    assert res.schedule.total == 4
+    assert sum(p + o for p, o in res.schedule.rounds) == 4
     assert len(res.rounds_log) == 2
     sizes = [row["archive_size"] for row in res.rounds_log]
     assert sizes == sorted(sizes)
     assert res.sim_calls > 0
-    assert any(ind.kind == "online" for ind in res.pop)
+    # the last round's elites stay in the population, labeled online
+    last = set(res.rounds_log[-1]["elites"])
+    assert last <= {ind.chrom.digest() for ind in res.pop}
     for row in res.rounds_log:
         assert len(row["elites"]) == 1      # ceil(4 / 5)
     for e in res.archive.entries:
@@ -166,8 +167,9 @@ def test_random_search_consumes_the_requested_budget():
     b = random_search(inst, cfg, seed=9, sim_budget=30)
     assert a.sim_calls >= 30
     assert a.sim_calls == b.sim_calls
-    assert [str(p) for p in a.archive.points()] == [str(p) for p in b.archive.points()]
-    pts = a.archive.points()
+    pts = sorted(e.objectives for e in a.archive.entries)
+    assert [str(p) for p in pts] == [
+        str(p) for p in sorted(e.objectives for e in b.archive.entries)]
     assert pts
     for p in pts:
         assert not any(dominates(q, p) for q in pts)
@@ -181,3 +183,18 @@ def test_dpeia_keeps_a_job_off_the_machines_only_its_type_mates_have():
     res = dpeia(inst, DpeiaConfig(pop_size=20, max_iter=4, n_rounds=2), seed=1)
     assert res.archive.entries
     assert all(ind.chrom.assign[0] in (0, 2) for ind in res.pop)
+
+
+def test_an_all_online_round_plans_from_the_initial_population():
+    # varpi 1 gives the only round all three iterations online, so the
+    # round plans zero generations and executes the initial population
+    res = dpeia(generate_instance(15, 2),
+                DpeiaConfig(pop_size=6, max_iter=3, n_rounds=1, varpi=1.0,
+                            label_reps=2), seed=3)
+    assert res.schedule.rounds == [(0, 3)]
+    assert res.sim_calls == 49
+    assert [(e.objectives, e.digest) for e in res.archive.entries] == [
+        (ObjectivePair(84.00986291191595, 3064.0), "783cfe0980304576")]
+    assert res.rounds_log == [
+        {"round": 1, "plan_iters": 0, "online_iters": 3, "archive_size": 1,
+         "elites": ["783cfe0980304576", "6838b4f165800413"]}]

@@ -67,11 +67,11 @@ def test_online_execution_is_pinned(setup60):
     inst, master, chrom = setup60
     counter = [0]
     tr = simulate(inst, decode(chrom, inst), master.substream(NS_ONLINE, 0, 0),
-                  SimConfig(mode=ONLINE, rescheduler=make_rescheduler(2, counter),
-                            counter=counter))
+                  SimConfig(mode=ONLINE, rescheduler=make_rescheduler(2, counter)))
     assert tr.resched_points
     assert _events_digest(tr) == ONLINE_DIGEST
-    assert counter == [121]
+    # the run itself, which its requester counts, and every projection
+    assert 1 + counter[0] == 121
 
 
 SUFFIX_FIRST_TRIGGER = {"fill": (184.60630084845332, 12736.0, 27),

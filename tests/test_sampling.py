@@ -16,7 +16,7 @@ from reworkopt.sampling import (actual_processing_time, classify_quality,
                                 sample_wear_nonconforming,
                                 sample_wear_qualified)
 
-M0 = base_machines()[0]
+M0 = base_machines("alternate")[0]
 
 
 def test_nonconforming_wear_mean_tracks_deviation():
