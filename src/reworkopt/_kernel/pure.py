@@ -34,6 +34,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _TWO_PI = 6.283185307179586
 _INV_2_53 = 2.0 ** -53
 _HOLE = array("d", [float("nan")])
+_NO_ROW = array("d")
 
 
 def mix64(z):
@@ -78,15 +79,21 @@ def shared_draws():
         _normals, _uniforms, _jobs = outer
 
 
-def _shared(table, draw, key, ctr):
-    """draw(key, ctr), read from or stored in table when one is open."""
-    if table is None:
-        return draw(key, ctr)
+def _row(table, key, ctr):
+    """key's row of table, grown to hold ctr."""
     row = table.get(key)
     if row is None:
         row = table[key] = _HOLE * max(ctr + 1, 8)
     elif ctr >= len(row):
         row.extend(_HOLE * (max(ctr + 1, 2 * len(row)) - len(row)))
+    return row
+
+
+def _shared(table, draw, key, ctr):
+    """draw(key, ctr), read from or stored in table when one is open."""
+    if table is None:
+        return draw(key, ctr)
+    row = _row(table, key, ctr)
     x = row[ctr]
     if x != x:
         x = row[ctr] = draw(key, ctr)
@@ -94,8 +101,16 @@ def _shared(table, draw, key, ctr):
 
 
 def _std_normal(key, ctr):
-    u1 = u01(key, ctr)
-    u2 = u01(key, ctr + 1)
+    """Box-Muller's cosine branch on u01(key, ctr) and u01(key, ctr + 1),
+    both hashed inline."""
+    z = (key + ((ctr + 1) * _GOLDEN)) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    u1 = (((z ^ (z >> 31)) >> 11) + 0.5) * _INV_2_53
+    z = (key + ((ctr + 2) * _GOLDEN)) & _M64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    u2 = (((z ^ (z >> 31)) >> 11) + 0.5) * _INV_2_53
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
 
 
@@ -122,7 +137,9 @@ def gamma(key, ctr, shape, scale):
 
     shape == 0 returns 0 without consuming ticks (a zero-length exposure
     window draws nothing).  shape < 1 is boosted through Gamma(shape+1)
-    and one extra uniform.
+    and one extra uniform.  An attempt's standard normal and uniform are
+    read from the scope's tables directly (``normal``'s draw is
+    0.0 + 1.0 * z, which is z: z is never zero).
     """
     if shape <= 0.0:
         return 0.0, ctr
@@ -133,13 +150,31 @@ def gamma(key, ctr, shape, scale):
         return g * math.pow(u, 1.0 / shape), ctr
     d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
+    normals, uniforms = _normals, _uniforms
+    if normals is not None:
+        nrow, urow = normals.get(key, _NO_ROW), uniforms.get(key, _NO_ROW)
     while True:
-        x, ctr = normal(key, ctr, 0.0, 1.0)
+        if normals is None:
+            x = _std_normal(key, ctr)
+        else:
+            if ctr >= len(nrow):
+                nrow = _row(normals, key, ctr)
+            x = nrow[ctr]
+            if x != x:
+                x = nrow[ctr] = _std_normal(key, ctr)
+        ctr += 2
         v = 1.0 + c * x
         if v <= 0.0:
             continue
         v = v * v * v
-        u = _shared(_uniforms, u01, key, ctr)
+        if uniforms is None:
+            u = u01(key, ctr)
+        else:
+            if ctr >= len(urow):
+                urow = _row(uniforms, key, ctr)
+            u = urow[ctr]
+            if u != u:
+                u = urow[ctr] = u01(key, ctr)
         ctr += 1
         if u < 1.0 - 0.0331 * (x * x) * (x * x):
             return d * v * scale, ctr

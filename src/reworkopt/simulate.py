@@ -32,6 +32,12 @@ projections always run so) track makespan, maintenance cost and the
 qualified count as they go and build no job or idle event records;
 their trace has empty job_events and idle_events but the full
 maintenance event list.  Draws and results match the full run exactly.
+A STATIC or SUFFIX summary run steps each machine on its own, its
+state in locals, up to the first step at which a preventive action is
+due; only there can machines meet (grouping and screening), so those
+steps alone are taken in global order (``_Sim._advance_machines``).
+ONLINE runs and full runs keep the one global loop (``_Sim._advance``):
+rework consumes completions in global time order.
 
 A plan is prepared once into entity rows (``prepare``) that carry the
 kernel arguments fixed along a run.  No run mutates the rows or their
@@ -326,14 +332,16 @@ class _Sim:
             out.append(count)
         return out[0] - out[1]
 
-    def _try_pm(self, mid: int, t: float) -> bool:
-        """Screening and grouping of a due preventive action.  Returns
-        True if any preventive action was performed (frontiers moved)."""
+    def _try_pm(self, mid: int, t: float, cands) -> bool:
+        """Screening and grouping of a due preventive action; cands are
+        the machines that may join it.  Returns True if any preventive
+        action was performed (frontiers moved)."""
         g = self.inst.globals
         if self.cfg.prop2 and self._suspend_if_unprofitable(mid):
             return False
         due = [(mid, t)]
-        for mid2, row in self.queues.items():
+        for mid2 in cands:
+            row = self.queues[mid2]
             if mid2 == mid or self.ptr[mid2] >= len(row):
                 continue
             st2 = self.states[mid2]
@@ -406,6 +414,9 @@ class _Sim:
     # -- main loop -----------------------------------------------------
 
     def run(self) -> None:
+        if self.cfg.summary and self.cfg.mode != ONLINE:
+            self._advance_machines()
+            return
         while True:
             self._advance()
             if self.pending_trigger is None and self.cfg.mode == ONLINE:
@@ -413,6 +424,124 @@ class _Sim:
             if self.pending_trigger is None:
                 return
             self._do_reschedule(self.pending_trigger)
+
+    def _advance_machines(self) -> None:
+        """The events of _advance, machine by machine.  Machines meet
+        only at a due preventive action, which may group or screen the
+        others; every other step changes its own machine alone, draws
+        are keyed by machine or entity, and the results are a max and
+        sums.  So each machine runs on its own until its state makes a
+        preventive action due (_run_machine), and those due steps are
+        taken in the global (start, machine id) order of _advance."""
+        self.last = {mid: -math.inf for mid in self.queues}
+        self.maint_keys: list[tuple[float, int]] = []
+        stops: dict[int, tuple[float, int]] = {}
+        for mid in self.queues:
+            self._run_machine(mid, stops)
+        while stops:
+            t, mid = key = min(stops.values())
+            del stops[mid]
+            # a machine whose last step comes after the due one ran
+            # past it, so at the due step it was not due itself
+            self._run_machine(mid, stops, [m for m in stops
+                                           if (self.last[m], m) < key])
+            # grouped and screened machines changed; the rest stop again
+            for m in list(stops):
+                self._run_machine(m, stops)
+        # maintenance in the order of the steps that produced it, as
+        # _advance appends it: the cost is a float sum
+        order = sorted(range(len(self.maint_keys)),
+                       key=self.maint_keys.__getitem__)
+        self.maint_events = [self.maint_events[k] for k in order]
+
+    def _run_machine(self, mid: int, stops: dict[int, tuple[float, int]],
+                     cands: list[int] | None = None) -> None:
+        """Step machine mid on its own as _advance would, its state in
+        locals.  It stops before the first step at which its state makes
+        a preventive action due, with work left, and enters that step's
+        (start, id) in stops; given the grouping candidates cands, it
+        first takes that step itself."""
+        job_step = _kernel.job_step
+        st = self.states[mid]
+        row = self.queues[mid]
+        n = len(row)
+        i = self.ptr[mid]
+        cap = self.machines[mid].cap
+        zeta, n_u = self.chrom.zeta, self.chrom.n_u
+        det, job_keys = self.det, self.job_keys
+        skip_idle = self.cfg.mode != STATIC
+        erng = self.env[mid]
+        ekey, ectr = erng.key, erng.ctr
+        events, keys = self.maint_events, self.maint_keys
+        lt, end, q_count = self.last[mid], self.end, self.q_count
+        stops.pop(mid, None)
+        w, ready, last_start = st.w, st.ready, st.last_start
+        maint_acc, cyc_jobs, cyc_busy = st.maint_acc, st.cyc_jobs, st.cyc_busy
+        while i < n:
+            ent = row[i]
+            t = ready
+            if ent.release > t:
+                t = ent.release
+            due = not st.suspended and w / cap >= zeta and st.n_pm < n_u
+            if due and cands is None:
+                stops[mid] = (t, mid)
+                break
+            job = ent.job
+            if job is None and skip_idle:
+                i += 1
+                lt = t
+                cands = None
+                continue
+            if w > cap or due:
+                # maintenance works on st, and a due one on the others
+                (st.w, st.ready, st.last_start, st.maint_acc, st.cyc_jobs,
+                 st.cyc_busy) = (w, ready, last_start, maint_acc, cyc_jobs,
+                                 cyc_busy)
+                self.ptr[mid] = i
+                if w > cap:
+                    self._apply_cm(mid, ready)
+                    acted = True
+                else:
+                    acted = self._try_pm(mid, t, cands)
+                keys.extend([(t, mid)] * (len(events) - len(keys)))
+                cands = None
+                w, ready, maint_acc = st.w, st.ready, st.maint_acc
+                cyc_jobs, cyc_busy = st.cyc_jobs, st.cyc_busy
+                if acted:
+                    lt = t
+                    continue
+            dt = (t - last_start) - maint_acc
+            if dt < 0.0:
+                dt = 0.0
+            (p, _, q, _, _, _, _, _, w, _, ectr) = job_step(
+                job_keys[ent.eid], 0, ekey, ectr, det,
+                1 if job is None else 0, w, dt, ent.times[mid],
+                *ent.args[mid])
+            if job is not None:
+                if t + p > end:
+                    end = t + p
+                q_count += q
+                cyc_jobs += 1
+                cyc_busy += p
+            last_start = t
+            maint_acc = 0.0
+            ready = t + p
+            i += 1
+            lt = t
+            if w > cap:
+                (st.w, st.ready, st.last_start, st.maint_acc, st.cyc_jobs,
+                 st.cyc_busy) = (w, ready, last_start, maint_acc, cyc_jobs,
+                                 cyc_busy)
+                self._apply_cm(mid, ready)
+                keys.append((t, mid))
+                w, ready, maint_acc = st.w, st.ready, st.maint_acc
+                cyc_jobs, cyc_busy = st.cyc_jobs, st.cyc_busy
+        (st.w, st.ready, st.last_start, st.maint_acc, st.cyc_jobs,
+         st.cyc_busy) = (w, ready, last_start, maint_acc, cyc_jobs, cyc_busy)
+        erng.ctr = ectr
+        self.ptr[mid] = i
+        self.last[mid] = lt
+        self.end, self.q_count = end, q_count
 
     def _advance(self) -> None:
         """Process events in global time order until every queue is
@@ -454,7 +583,7 @@ class _Sim:
                 self._apply_cm(mid, st.ready)
                 continue
             if (not st.suspended and st.w / cap >= zeta and st.n_pm < n_u
-                    and self._try_pm(mid, t)):
+                    and self._try_pm(mid, t, queues)):
                 continue
             dt = (t - st.last_start) - st.maint_acc
             if dt < 0.0:

@@ -5,14 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reworkopt.encoding import Chromosome, decode, random_chromosome
-from reworkopt.instances import toy_instance
+from reworkopt.instances import generate_instance, toy_instance
 from reworkopt.model import (GlobalParams, Job, MachineParams, ObjectivePair,
                              ProblemInstance, QualitySpec)
 from reworkopt.rng import RngStream
-from reworkopt.simulate import (ONLINE, STATIC, ScheduleTrace, SimConfig,
-                                fitness_eval, fitness_resched,
+from reworkopt.simulate import (ONLINE, STATIC, SUFFIX, ScheduleTrace,
+                                SimConfig, _Sim, append_copies,
+                                fill_idle_slots, fitness_eval, fitness_resched,
                                 fitness_static, idle_space_count, objectives,
-                                simulate)
+                                simulate, simulate_suffix)
 
 # A machine with every wear channel switched off: jobs run at nominal
 # speed forever and quality collapses to ups0 against the type target.
@@ -288,6 +289,61 @@ def test_execution_fitness_golden():
     assert fitness_eval(_trace(0.0, 1.0, 0), 1.0) == 0.0
 
 
+def _suffix_sim(ctx, queues, summary):
+    """A SUFFIX run of queues from a trigger's snapshot, with or without
+    per-event records."""
+    sim = _Sim(ctx.inst, queues, {mid: s.copy() for mid, s in ctx.states.items()},
+               ctx.chrom, ctx.rng, SimConfig(mode=SUFFIX, det=ctx.det,
+                                             prop2=ctx.prop2, summary=summary))
+    sim.run()
+    return sim
+
+
+def _assert_summary_runs_match(inst, ch, seed, det, prop2):
+    """A summary run steps each machine on its own; the full run steps
+    every event in global time order.  Both must agree on every result,
+    the maintenance list and the final machine states, for the plan
+    itself and for suffix projections from every trigger of an online
+    run of it."""
+    plan = decode(ch, inst)
+    root = RngStream.from_seed(seed)
+    full = simulate(inst, plan, root, SimConfig(det=det, prop2=prop2))
+    lean = simulate(inst, plan, root,
+                    SimConfig(det=det, prop2=prop2, summary=True))
+    assert (lean.makespan, lean.maint_cost, lean.q_count) == \
+        (full.makespan, full.maint_cost, full.q_count)
+    assert lean.maint_events == full.maint_events
+    assert lean.final_states == full.final_states
+    assert lean.job_events == [] and lean.idle_events == []
+    ctxs = []
+
+    def hook(ctx):
+        ctxs.append(ctx)
+        return fill_idle_slots(ctx), None
+
+    simulate(inst, plan, root.substream(1),
+             SimConfig(mode=ONLINE, det=det, prop2=prop2, rescheduler=hook))
+    for ctx in ctxs:
+        for queues in (fill_idle_slots(ctx), append_copies(ctx)):
+            full = _suffix_sim(ctx, queues, False)
+            lean = _suffix_sim(ctx, queues, True)
+            assert lean.maint_events == full.maint_events
+            assert lean.states == full.states
+            assert simulate_suffix(ctx, queues, ctx.rng) == (
+                full.span_end(ctx.trigger_time) - ctx.trigger_time,
+                sum(ev.cost for ev in full.maint_events), full.q_count)
+
+
+def _generated(n_jobs, inst_seed, seed, idle, zeta, n_u, psi, thr_r):
+    """A generated four-machine instance and a random plan for it, with
+    the given policy genes."""
+    inst = generate_instance(n_jobs, inst_seed)
+    ch = random_chromosome(inst, (0, 1) if idle else (),
+                           RngStream.from_seed(seed))
+    ch.zeta, ch.n_u, ch.psi, ch.thr_r = zeta, n_u, psi, thr_r
+    return inst, ch
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 14), st.integers(0, 30), st.integers(0, 10_000),
        st.lists(st.sampled_from([0, 1]), max_size=3), st.booleans(),
@@ -297,12 +353,91 @@ def test_summary_only_run_matches_the_full_trace(n_jobs, inst_seed, seed,
     inst = toy_instance(n_jobs, seed=inst_seed)
     idle_types = tuple(t for t in idle_types if t in inst.job_types())
     ch = random_chromosome(inst, idle_types, RngStream.from_seed(seed))
-    plan = decode(ch, inst)
-    root = RngStream.from_seed(seed + 1)
-    full = simulate(inst, plan, root, SimConfig(det=det, prop2=prop2))
-    lean = simulate(inst, plan, root,
-                    SimConfig(det=det, prop2=prop2, summary=True))
-    assert (lean.makespan, lean.maint_cost, lean.q_count) == \
-        (full.makespan, full.maint_cost, full.q_count)
-    assert lean.maint_events == full.maint_events
-    assert lean.job_events == [] and lean.idle_events == []
+    _assert_summary_runs_match(inst, ch, seed + 1, det, prop2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 36), st.integers(0, 30), st.integers(0, 10_000),
+       st.booleans(), st.floats(0.05, 0.95), st.integers(0, 4),
+       st.floats(0.0, 2.0), st.floats(0.1, 0.6), st.booleans(),
+       st.booleans())
+def test_summary_runs_of_generated_instances_match_the_full_trace(
+        n_jobs, inst_seed, seed, idle, zeta, n_u, psi, thr_r, det, prop2):
+    inst, ch = _generated(n_jobs, inst_seed, seed, idle, zeta, n_u, psi, thr_r)
+    _assert_summary_runs_match(inst, ch, seed + 1, det, prop2)
+
+
+def _screened_candidate_case():
+    """Two machines wear alike and fall due together at t = 2 and 6.5.
+    The second time machine 0 has nine jobs left and keeps its action,
+    while machine 1, a grouping candidate with one job left, gains
+    nothing from it and is suspended by the screen."""
+    jobs = [Job(i, 0, {0: 1.0, 1: 1.0}) for i in range(20)]
+    m = dict(w0=0.1, cap=1.0, mu_plus=0.1)
+    inst = _inst(jobs, [_flat(id=0, **m), _flat(id=1, **m)])
+    ch = _chrom([0] * 14 + [1] * 6, [i / 20 for i in range(20)],
+                zeta=0.29, psi=1.0, n_u=2)
+    return inst, ch
+
+
+def _overworn_candidate_case():
+    """Machine 0 falls due at t = 2, and its second action in a row
+    (theta = 1) leaves it past its failure threshold, still due, with
+    its repair waiting for t = 4.  Machine 1 falls due at 3.9 and groups
+    it into one more preventive action before the repair can run."""
+    jobs = [Job(i, 0, {0: 1.0}) for i in range(3)] + [
+        Job(3, 0, {1: 3.2}), Job(4, 0, {1: 0.7}), Job(5, 0, {1: 1.0})]
+    m = dict(w0=0.1, cap=1.0, t_pm=0.5, t_ps=0.5)
+    inst = ProblemInstance(jobs, [_flat(id=0, mu_plus=0.1, **m),
+                                  _flat(id=1, mu_plus=0.05, **m)],
+                           {0: _GOOD}, GlobalParams(0.0, 1.0, 0.8, 0.0))
+    ch = _chrom([0, 0, 0, 1, 1, 1], [0.1, 0.2, 0.3, 0.1, 0.2, 0.3],
+                zeta=0.29, psi=1.0, n_u=3)
+    return inst, ch
+
+
+def test_a_machine_past_its_threshold_can_still_join_a_group():
+    inst, ch = _overworn_candidate_case()
+    tr = _run(inst, ch, det=True, prop2=False)
+    joint = [ev for ev in tr.maint_events if ev.group == 2]
+    assert [(ev.machine_id, ev.kind) for ev in joint] == [(1, "pm"), (0, "pm")]
+    assert joint[1].w_before > inst.machine(0).cap
+    _assert_summary_runs_match(inst, ch, 0, True, False)
+
+
+def test_the_summary_corpus_reaches_every_machine_interaction(monkeypatch):
+    """Per-machine stepping is only sound if the due steps see the other
+    machines as the global loop does.  The corpus must reach joint
+    actions of several machines, screens that suspend the due machine
+    itself, and screens that suspend a grouping candidate."""
+    seen = {"groups": 0, "own": 0, "candidate": 0}
+    try_pm, suspend = _Sim._try_pm, _Sim._suspend_if_unprofitable
+
+    def watched_try_pm(self, mid, t, cands):
+        self.due_mid = mid
+        n = len(self.maint_events)
+        done = try_pm(self, mid, t, cands)
+        gids = [ev.group for ev in self.maint_events[n:]]
+        if self.cfg.summary and len(set(gids)) < len(gids):
+            seen["groups"] += 1
+        return done
+
+    def watched_suspend(self, mid):
+        out = suspend(self, mid)
+        if out and self.cfg.summary:
+            seen["own" if mid == self.due_mid else "candidate"] += 1
+        return out
+
+    monkeypatch.setattr(_Sim, "_try_pm", watched_try_pm)
+    monkeypatch.setattr(_Sim, "_suspend_if_unprofitable", watched_suspend)
+    _assert_summary_runs_match(*_screened_candidate_case(), 0, True, True)
+    assert seen["candidate"] == 1
+    r = RngStream.from_seed(2024)
+    for k in range(60):
+        inst, ch = _generated(
+            4 + r.randrange(33), k, k, r.uniform() < 0.5,
+            0.05 + 0.9 * r.uniform(), r.randrange(5), 2.0 * r.uniform(),
+            0.1 + 0.5 * r.uniform())
+        _assert_summary_runs_match(inst, ch, k + 1, r.uniform() < 0.3,
+                                   r.uniform() < 0.7)
+    assert seen["groups"] > 0 and seen["own"] > 0
