@@ -100,8 +100,11 @@ def generate_instance(n_jobs: int = 100, seed: int = 0, sigma_q: float = 0.06,
     Types alternate to hit the requested mix; each job draws an
     independent nominal time per capable machine from its type's
     uniform range.  Raises InvalidInstanceError for a sigma_q it cannot
-    serve: negative, or so small that the quality interval is a point.
+    serve: negative, or so small that the quality interval is a point,
+    and InvalidOptionError for a type mix outside [0, 1].
     """
+    if not 0.0 <= type_mix <= 1.0:
+        raise InvalidOptionError(f"type mix must be in [0, 1], got {type_mix}")
     machines = base_machines(coeff_set)
     root = RngStream.from_seed(seed)
     jobs = []

@@ -87,9 +87,12 @@ def allocate_budget(max_iter: int, n_rounds: int, varpi: float = DpeiaConfig.var
         raise InvalidOptionError(f"budget {max_iter} too small for {n_rounds} rounds")
     if not (0.0 < varpi <= 1.0):
         raise InvalidOptionError(f"online cap must be in (0, 1], got {varpi}")
-    if sigma_c <= 0.0:
+    if not sigma_c > 0.0:
         raise InvalidOptionError(f"profile width must be positive, got {sigma_c}")
     top = _phi((1.0 - mu_c) / sigma_c)
+    if not top > 0.0:
+        raise InvalidOptionError(
+            f"profile centre {mu_c} leaves the last round no online share")
     base, extra = divmod(max_iter, n_rounds)
     rounds = []
     for r in range(1, n_rounds + 1):

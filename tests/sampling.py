@@ -1,16 +1,16 @@
-"""Sampling primitives for the wear/quality process.
+"""Sampling primitives for the wear/quality process, one per draw.
 
 Thin typed wrappers over the kernel draws.  The event simulator uses the
-fused kernel step for speed; these functions are the documented surface
-and the parity tests assert the fused step equals their composition.
+fused kernel step, ``job_step``; ``test_sampling`` checks that step
+against the composition of these wrappers, draw by draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import MachineParams, QualitySpec
-from .rng import RngStream
+from reworkopt.model import MachineParams, QualitySpec
+from reworkopt.rng import RngStream
 
 
 @dataclass(frozen=True)

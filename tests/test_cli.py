@@ -150,6 +150,12 @@ _SMALL = ["--n-jobs", "6", "--pop-size", "2", "--max-iter", "2",
     ["run", *_SMALL, "--coeff-set", "foo"],
     ["generate", "--coeff-set", "foo"],
     ["generate", "--n-jobs", "0"],
+    ["generate", "--type-mix", "nan"],
+    ["generate", "--type-mix", "1.5"],
+    ["run", *_SMALL, "--type-mix", "nan"],
+    ["run", *_SMALL, "--sigma-c", "nan"],
+    ["run", *_SMALL, "--mu-c", "nan"],
+    ["run", *_SMALL, "--mu-c", "inf"],
     ["oracle", "--n-jobs", "12"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_a_refused_option_is_a_one_line_error(tmp_path, capsys, argv):

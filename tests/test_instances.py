@@ -4,7 +4,8 @@ from reworkopt.instances import (BASE_GLOBALS, TYPE_MACHINES, TYPE_RANGES,
                                  TYPE_SL, TYPE_XI, audit_instance,
                                  base_machines, generate_instance, oracle_toy,
                                  toy_instance)
-from reworkopt.model import InvalidInstanceError, validate_instance
+from reworkopt.model import (InvalidInstanceError, InvalidOptionError,
+                             validate_instance)
 
 
 def test_benchmark_machine_zero_fields():
@@ -106,6 +107,12 @@ def test_generator_refuses_what_it_cannot_serve():
     with pytest.raises(InvalidInstanceError, match="negative sigma_q"):
         generate_instance(8, 0, -0.1)
     assert generate_instance(8, 0, 0.0).quality[0].sigma_q == 0.0
+
+
+@pytest.mark.parametrize("type_mix", [float("nan"), 1.5, -0.5])
+def test_generator_refuses_a_type_mix_outside_the_unit_interval(type_mix):
+    with pytest.raises(InvalidOptionError, match="type mix"):
+        generate_instance(6, 0, type_mix=type_mix)
 
 
 def test_generated_instances_do_not_share_parameters():

@@ -1,9 +1,12 @@
+import math
+
 import pytest
 
 from reworkopt.encoding import Chromosome
 from reworkopt.instances import generate_instance, toy_instance
-from reworkopt.model import (GlobalParams, Job, MachineParams, ObjectivePair,
-                             ProblemInstance, QualitySpec, dominates)
+from reworkopt.model import (GlobalParams, InvalidOptionError, Job,
+                             MachineParams, ObjectivePair, ProblemInstance,
+                             QualitySpec, dominates)
 from reworkopt.orchestrator import (DpeiaConfig, ParetoArchive,
                                     _pilot_idle_types, allocate_budget, dpeia,
                                     random_search)
@@ -40,6 +43,15 @@ def test_budget_split_rejects_bad_arguments():
         allocate_budget(10, 2, varpi=1.2)
     with pytest.raises(ValueError):
         allocate_budget(10, 2, sigma_c=0.0)
+
+
+@pytest.mark.parametrize("option", [
+    {"sigma_c": math.nan}, {"mu_c": math.nan}, {"mu_c": math.inf},
+    {"mu_c": 60.0}, {"mu_c": math.inf, "sigma_c": math.inf},
+], ids=repr)
+def test_budget_split_refuses_a_profile_it_cannot_evaluate(option):
+    with pytest.raises(InvalidOptionError):
+        allocate_budget(10, 2, **option)
 
 
 def _ch():

@@ -9,12 +9,10 @@ from reworkopt import _kernel
 from reworkopt.instances import base_machines
 from reworkopt.model import GlobalParams, QualitySpec
 from reworkopt.rng import RngStream
-from reworkopt.sampling import (actual_processing_time, classify_quality,
-                                degradation_increment, quality_characteristic,
-                                sample_initial_quality,
-                                sample_wear_environment,
-                                sample_wear_nonconforming,
-                                sample_wear_qualified)
+from sampling import (actual_processing_time, classify_quality,
+                      degradation_increment, quality_characteristic,
+                      sample_initial_quality, sample_wear_environment,
+                      sample_wear_nonconforming, sample_wear_qualified)
 
 M0 = base_machines("alternate")[0]
 
