@@ -199,16 +199,14 @@ def truncated_normal(key, ctr, mu, sigma, lo, hi):
             return x, ctr
 
 
-def _job_draws(*spec):
+def _job_draws(spec):
     """A real job's job-stream draws for spec = (jkey, jctr, sl, xi, mu_q,
     sig_q, q_lo, q_hi, noise_sigma): (ups, eps, z_m, z_p, jctr), where
     z_m and z_p are the standard normals behind the two wear increments
     (z_m is None when ups is within tolerance).  Kept by spec inside a
-    scope.  Keys compare -0.0 == 0.0, and only a zero ups can tell such
-    specs apart, so a zero ups is not kept."""
-    got = None if _jobs is None else _jobs.get(spec)
-    if got is not None:
-        return got
+    scope, where job_step looks them up itself.  Keys compare -0.0 ==
+    0.0, and only a zero ups can tell such specs apart, so a zero ups is
+    not kept."""
     jkey, jctr, sl, xi, mu_q, sig_q, q_lo, q_hi, noise_sigma = spec
     ups, jctr = truncated_normal(jkey, jctr, mu_q, sig_q, q_lo, q_hi)
     eps, jctr = normal(jkey, jctr, 0.0, noise_sigma)
@@ -267,8 +265,9 @@ def job_step(jkey, jctr, ekey, ectr, det, kind, w, dt, o,
             ups = q_hi
         eps = 0.0
     else:
-        ups, eps, z_m, z_p, jctr = _job_draws(
-            jkey, jctr, sl, xi, mu_q, sig_q, q_lo, q_hi, noise_sigma)
+        spec = jkey, jctr, sl, xi, mu_q, sig_q, q_lo, q_hi, noise_sigma
+        got = None if _jobs is None else _jobs.get(spec)
+        ups, eps, z_m, z_p, jctr = got or _job_draws(spec)
 
     d = ups0 + a * w1 + b0 * eps + w1 * gam * eps
     q = 1 if abs(d - sl) < xi else 0

@@ -269,8 +269,8 @@ class _Sim:
         st = self.states[mid]
         mp = self.machines[mid]
         st.cyc_cost += mp.c_cm
-        ev = MaintenanceEvent("cm", mid, at, mp.t_cm, mp.c_cm, None,
-                              w_before=st.w, w_after=mp.w0, n_pm_after=0)
+        ev = MaintenanceEvent("cm", mid, at, mp.t_cm, mp.c_cm, None, st.w,
+                              mp.w0, 0)
         corrective_maintenance(st, mp)
         st.ready = at + mp.t_cm
         st.maint_acc += mp.t_cm
@@ -300,12 +300,9 @@ class _Sim:
         st = self.states[mid]
         mp = self.machines[mid]
         g = self.inst.globals
-        base = self.root.substream(NS_PROP2, mid, check)
-        jkey = base.substream(1).key
-        ekey = base.substream(2).key
-        remaining = [(e.times[mid], e.args[mid])
-                     for e in self.queues[mid][self.ptr[mid]:]
-                     if e.job is not None]
+        keys = self.root.substream(NS_PROP2, mid, check).subkeys()
+        jkey, ekey = keys[1], keys[2]
+        row = self.queues[mid]
         out = []
         for do_pm in (True, False):
             w, npm = st.w, st.n_pm
@@ -317,12 +314,16 @@ class _Sim:
                 maint_acc += mp.t_pm_full
             jctr = ectr = 0
             count = 0
-            for o, args in remaining:
+            for k in range(self.ptr[mid], len(row)):
+                e = row[k]
+                if e.job is None:
+                    continue
                 dt = (t - last_start) - maint_acc
                 if dt < 0.0:
                     dt = 0.0
                 (p, _, _, _, _, _, _, _, w, jctr, ectr) = job_step(
-                    jkey, jctr, ekey, ectr, self.det, 0, w, dt, o, *args)
+                    jkey, jctr, ekey, ectr, self.det, 0, w, dt, e.times[mid],
+                    *e.args[mid])
                 last_start = t
                 maint_acc = 0.0
                 t += p
@@ -477,12 +478,13 @@ class _Sim:
         stops.pop(mid, None)
         w, ready, last_start = st.w, st.ready, st.last_start
         maint_acc, cyc_jobs, cyc_busy = st.maint_acc, st.cyc_jobs, st.cyc_busy
+        suspended, n_pm = st.suspended, st.n_pm
         while i < n:
             ent = row[i]
             t = ready
             if ent.release > t:
                 t = ent.release
-            due = not st.suspended and w / cap >= zeta and st.n_pm < n_u
+            due = not suspended and w / cap >= zeta and n_pm < n_u
             if due and cands is None:
                 stops[mid] = (t, mid)
                 break
@@ -507,6 +509,7 @@ class _Sim:
                 cands = None
                 w, ready, maint_acc = st.w, st.ready, st.maint_acc
                 cyc_jobs, cyc_busy = st.cyc_jobs, st.cyc_busy
+                suspended, n_pm = st.suspended, st.n_pm
                 if acted:
                     lt = t
                     continue
@@ -536,6 +539,7 @@ class _Sim:
                 keys.append((t, mid))
                 w, ready, maint_acc = st.w, st.ready, st.maint_acc
                 cyc_jobs, cyc_busy = st.cyc_jobs, st.cyc_busy
+                suspended, n_pm = st.suspended, st.n_pm
         (st.w, st.ready, st.last_start, st.maint_acc, st.cyc_jobs,
          st.cyc_busy) = (w, ready, last_start, maint_acc, cyc_jobs, cyc_busy)
         erng.ctr = ectr
