@@ -23,6 +23,12 @@ spare the big-integer hashing and Python-level sampling that dominate
 this module.  The compiled twin hashes in machine words and needs no
 such memo, so it has none and the kernel API is the same on both
 backends.
+
+The hot draws read the tables without a chain of calls: ``gamma``
+indexes its key's rows itself, ``job_step`` looks a real job's kept
+draws up itself, and ``_std_normal`` hashes both of its uniforms
+inline (the expressions of ``u01`` and ``mix64``).  Each draw still has
+one implementation, the same in and out of a scope.
 """
 
 import math
@@ -53,7 +59,7 @@ def u01(key, ctr):
 
 # Draw tables of the open shared_draws() scope: key -> array('d') of
 # values by counter, NaN where nothing was drawn yet (no draw is NaN),
-# and the job-stream draws of real jobs by their _job_draws arguments.
+# and the job-stream draws of real jobs by their _job_draws spec.
 # None outside a scope, so nothing is stored there.
 _normals = None
 _uniforms = None

@@ -549,7 +549,8 @@ class _Sim:
 
     def _advance(self) -> None:
         """Process events in global time order until every queue is
-        empty or a rework trigger is pending."""
+        empty or a rework trigger is pending (ONLINE and full runs;
+        _advance_machines takes the rest)."""
         job_step = _kernel.job_step
         queues, ptr, states = self.queues, self.ptr, self.states
         det, env, job_keys = self.det, self.env, self.job_keys

@@ -1,19 +1,20 @@
-"""The pure kernel's draws, pinned by digest.
+"""The kernel's draws, pinned by digest.
 
 Each case hashes the repr of every result of a few hundred calls of one
 draw (floats repr round-trip exactly, the sign of zero included), once
 outside a ``shared_draws()`` scope and twice inside one: on the first
-call, which fills the tables, and on the repeat, which reads them.  Any
-change to an expression, a tick count or a memo shows up here, whichever
-backend the package picked at import.
+call, which fills the pure kernel's tables, and on the repeat, which
+reads them.  Any change to an expression, a tick count or a memo shows
+up here.  Every importable backend must give the same digests.
 """
 
+import contextlib
 import hashlib
 import random
 
 import pytest
 
-from reworkopt._kernel import pure
+from reworkopt._kernel import backends
 
 # type specs (sl, xi, mu_q, sig_q, q_lo, q_hi, noise_sigma): spread,
 # wide, and degenerate (sig_q = 0) inputs
@@ -71,25 +72,25 @@ def _job_step_calls(det, kind):
 
 
 CASES = {
-    "gamma-zero": (pure.gamma, _gamma_calls([0.0]),
+    "gamma-zero": ("gamma", _gamma_calls([0.0]),
         "cb53adfd89e64b2175c12bdc91cd3f621d66c88f2c5a85f5bb906d75685410cd"),
-    "gamma-below-one": (pure.gamma, _gamma_calls([0.05, 0.37, 0.99]),
+    "gamma-below-one": ("gamma", _gamma_calls([0.05, 0.37, 0.99]),
         "d4af002be5ce51e829449870780ce4fb25337426d6a16f4ac4ea3a3c11c5a0cc"),
-    "gamma-one-and-up": (pure.gamma, _gamma_calls([1.0, 3.2, 17.5]),
+    "gamma-one-and-up": ("gamma", _gamma_calls([1.0, 3.2, 17.5]),
         "e97aaefdbd9ca4daec4ce7d590cb1b4f8c4fe6eb8137d583e84fd7b1788cebb0"),
-    "normal": (pure.normal, _normal_calls,
+    "normal": ("normal", _normal_calls,
         "a208c68187b4d236cce80afee95e367cf47c5ef43cfc620df57dccc4132b0de3"),
-    "clamped_normal": (pure.clamped_normal, _normal_calls,
+    "clamped_normal": ("clamped_normal", _normal_calls,
         "e53919bf0bf89d078e0d67b7ebf9eb3d2b3af08ec8d6a128732a881616611c99"),
-    "truncated_normal": (pure.truncated_normal, _truncated_calls,
+    "truncated_normal": ("truncated_normal", _truncated_calls,
         "8da1a90af314cc3ecd8d3a0a9ccbbc451f8f496d016decb12f605beef96fdcfd"),
-    "job_step-random-job": (pure.job_step, _job_step_calls(0, 0),
+    "job_step-random-job": ("job_step", _job_step_calls(0, 0),
         "5d13d4d551f9e688351796badf359c43fbda80fd7cc58e9f3c4c8f94c522d266"),
-    "job_step-random-idle": (pure.job_step, _job_step_calls(0, 1),
+    "job_step-random-idle": ("job_step", _job_step_calls(0, 1),
         "cac8a3a2194dea7cdacaeb52216ce16c70cb8e8a65ee4cfca04fad0ca54c8538"),
-    "job_step-mean-job": (pure.job_step, _job_step_calls(1, 0),
+    "job_step-mean-job": ("job_step", _job_step_calls(1, 0),
         "59e5006b4dc25e6e04d14eec19423c11a9f71c731a88197b824b2f269c82a503"),
-    "job_step-mean-idle": (pure.job_step, _job_step_calls(1, 1),
+    "job_step-mean-idle": ("job_step", _job_step_calls(1, 1),
         "4f36e0cc3d4cce873c9b736129f3b48b7310244105347236a49a470ff36adc8e"),
 }
 
@@ -101,11 +102,14 @@ def _digest(fn, calls):
     return h.hexdigest()
 
 
+@pytest.mark.parametrize("backend", sorted(backends()))
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_pure_draws_match_their_pinned_digest(name):
-    fn, make, want = CASES[name]
+def test_draws_match_their_pinned_digest(name, backend):
+    mod = backends()[backend]
+    draw, make, want = CASES[name]
+    fn = getattr(mod, draw)
     calls = make(random.Random(name))
     assert _digest(fn, calls) == want
-    with pure.shared_draws():
+    with getattr(mod, "shared_draws", contextlib.nullcontext)():
         assert _digest(fn, calls) == want
         assert _digest(fn, calls) == want
