@@ -253,39 +253,35 @@ def job_step(jkey, jctr, ekey, ectr, det, kind, w, dt, o,
     w1 = w + dv
     p = o * (1.0 + eta * w1)
 
-    if kind:
-        if det:
-            du_p = p * mu_p
-            if du_p < 0.0:
-                du_p = 0.0
-        else:
-            du_p, jctr = clamped_normal(jkey, jctr, p * mu_p, sig_p)
-        w3 = (w1 + 0.0) + du_p
-        return p, 0.0, -1, 0.0, 0.0, dv, 0.0, du_p, w3, jctr, ectr
-
-    if det:
-        ups = mu_q
-        if ups < q_lo:
-            ups = q_lo
-        elif ups > q_hi:
-            ups = q_hi
-        eps = 0.0
-    else:
-        spec = jkey, jctr, sl, xi, mu_q, sig_q, q_lo, q_hi, noise_sigma
-        got = None if _jobs is None else _jobs.get(spec)
-        ups, eps, z_m, z_p, jctr = got or _job_draws(spec)
-
-    d = ups0 + a * w1 + b0 * eps + w1 * gam * eps
-    q = 1 if abs(d - sl) < xi else 0
-
     # the increments are clamped_normal's mu + sigma * z, clamped at 0
-    delta = abs(ups - sl)
-    if delta < xi:
-        du_m = 0.0
+    if kind:
+        d, q, ups, eps, du_m = 0.0, -1, 0.0, 0.0, 0.0
+        if not det:
+            z_p = _shared(_normals, _std_normal, jkey, jctr)
+            jctr += 2
     else:
-        du_m = delta * mu_m if det else delta * mu_m + sig_m * z_m
-        if du_m < 0.0:
+        if det:
+            ups = mu_q
+            if ups < q_lo:
+                ups = q_lo
+            elif ups > q_hi:
+                ups = q_hi
+            eps = 0.0
+        else:
+            spec = jkey, jctr, sl, xi, mu_q, sig_q, q_lo, q_hi, noise_sigma
+            got = None if _jobs is None else _jobs.get(spec)
+            ups, eps, z_m, z_p, jctr = got or _job_draws(spec)
+
+        d = ups0 + a * w1 + b0 * eps + w1 * gam * eps
+        q = 1 if abs(d - sl) < xi else 0
+
+        delta = abs(ups - sl)
+        if delta < xi:
             du_m = 0.0
+        else:
+            du_m = delta * mu_m if det else delta * mu_m + sig_m * z_m
+            if du_m < 0.0:
+                du_m = 0.0
     du_p = p * mu_p if det else p * mu_p + sig_p * z_p
     if du_p < 0.0:
         du_p = 0.0

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import _kernel
@@ -247,6 +248,10 @@ class _Sim:
         self.next_gid = 0
         self.prop2_checks: dict[int, int] = {mid: 0 for mid in queues}
         self.pending_trigger: float | None = None
+        # per-machine stepping: the start of each machine's last step,
+        # and the step (start, machine id) behind each maintenance event
+        self.last = {mid: -math.inf for mid in queues}
+        self.maint_keys: list[tuple[float, int]] = []
 
     # -- helpers -------------------------------------------------------
 
@@ -269,8 +274,8 @@ class _Sim:
         st = self.states[mid]
         mp = self.machines[mid]
         st.cyc_cost += mp.c_cm
-        ev = MaintenanceEvent("cm", mid, at, mp.t_cm, mp.c_cm, None, st.w,
-                              mp.w0, 0)
+        ev = MaintenanceEvent("cm", mid, at, mp.t_cm, mp.c_cm, None,
+                              w_before=st.w, w_after=mp.w0, n_pm_after=0)
         corrective_maintenance(st, mp)
         st.ready = at + mp.t_cm
         st.maint_acc += mp.t_cm
@@ -333,7 +338,7 @@ class _Sim:
             out.append(count)
         return out[0] - out[1]
 
-    def _try_pm(self, mid: int, t: float, cands) -> bool:
+    def _try_pm(self, mid: int, t: float, cands: Iterable[int]) -> bool:
         """Screening and grouping of a due preventive action; cands are
         the machines that may join it.  Returns True if any preventive
         action was performed (frontiers moved)."""
@@ -434,8 +439,6 @@ class _Sim:
         sums.  So each machine runs on its own until its state makes a
         preventive action due (_run_machine), and those due steps are
         taken in the global (start, machine id) order of _advance."""
-        self.last = {mid: -math.inf for mid in self.queues}
-        self.maint_keys: list[tuple[float, int]] = []
         stops: dict[int, tuple[float, int]] = {}
         for mid in self.queues:
             self._run_machine(mid, stops)
