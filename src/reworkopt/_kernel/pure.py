@@ -14,11 +14,12 @@ Shared draws: callers that replay the same worlds many times (planner
 labels, suffix projections of one trigger) open ``shared_draws()``.
 While it is open, the standard normal behind ``normal`` and gamma's
 uniforms are kept in per-key tables by counter, and a real job's
-job-stream draws in ``job_step`` by stream position and type spec (all
-label replications of a scope replay the same job keys).  No value can
-change: a memo key holds every input of its draws, a memo holds the
-very doubles the expressions produced, and the wear increments are
-recomputed at each call from the kept standard normals.  The memos
+job-stream draws in ``job_step`` by stream position, with the type spec
+they were drawn for (all label replications of a scope replay the same
+job keys).  No value can change: a memo is used only for the very
+inputs of its draws, it holds the very doubles the expressions
+produced, and the wear increments are recomputed at each call from the
+kept standard normals.  The memos
 spare the big-integer hashing and Python-level sampling that dominate
 this module.  The compiled twin hashes in machine words and needs no
 such memo, so it has none and the kernel API is the same on both
@@ -59,7 +60,7 @@ def u01(key, ctr):
 
 # Draw tables of the open shared_draws() scope: key -> array('d') of
 # values by counter, NaN where nothing was drawn yet (no draw is NaN),
-# and the job-stream draws of real jobs by their _job_draws spec.
+# and the job-stream draws of real jobs by stream position.
 # None outside a scope, so nothing is stored there.
 _normals = None
 _uniforms = None
@@ -205,15 +206,17 @@ def truncated_normal(key, ctr, mu, sigma, lo, hi):
             return x, ctr
 
 
-def _job_draws(spec):
-    """A real job's job-stream draws for spec = (jkey, jctr, sl, xi, mu_q,
-    sig_q, q_lo, q_hi, noise_sigma): (ups, eps, z_m, z_p, jctr), where
-    z_m and z_p are the standard normals behind the two wear increments
-    (z_m is None when ups is within tolerance).  Kept by spec inside a
-    scope, where job_step looks them up itself.  Keys compare -0.0 ==
-    0.0, and only a zero ups can tell such specs apart, so a zero ups is
-    not kept."""
-    jkey, jctr, sl, xi, mu_q, sig_q, q_lo, q_hi, noise_sigma = spec
+def _job_draws(jkey, jctr, spec):
+    """A real job's job-stream draws from stream position (jkey, jctr)
+    for the type spec = (sl, xi, mu_q, sig_q, q_lo, q_hi, noise_sigma):
+    (spec, ups, eps, z_m, z_p, jctr), where z_m and z_p are the standard
+    normals behind the two wear increments (z_m is None when ups is
+    within tolerance).  Kept by position inside a scope, with the spec
+    they were drawn for; job_step looks them up itself.  Specs compare
+    -0.0 == 0.0, and only a zero ups can tell such specs apart, so a
+    zero ups is not kept."""
+    pos = jkey, jctr
+    sl, xi, mu_q, sig_q, q_lo, q_hi, noise_sigma = spec
     ups, jctr = truncated_normal(jkey, jctr, mu_q, sig_q, q_lo, q_hi)
     eps, jctr = normal(jkey, jctr, 0.0, noise_sigma)
     z_m = None
@@ -221,9 +224,9 @@ def _job_draws(spec):
         z_m = _shared(_normals, _std_normal, jkey, jctr)
         jctr += 2
     z_p = _shared(_normals, _std_normal, jkey, jctr)
-    got = ups, eps, z_m, z_p, jctr + 2
+    got = spec, ups, eps, z_m, z_p, jctr + 2
     if _jobs is not None and ups != 0.0:
-        _jobs[spec] = got
+        _jobs[pos] = got
     return got
 
 
@@ -268,9 +271,11 @@ def job_step(jkey, jctr, ekey, ectr, det, kind, w, dt, o,
                 ups = q_hi
             eps = 0.0
         else:
-            spec = jkey, jctr, sl, xi, mu_q, sig_q, q_lo, q_hi, noise_sigma
-            got = None if _jobs is None else _jobs.get(spec)
-            ups, eps, z_m, z_p, jctr = got or _job_draws(spec)
+            spec = sl, xi, mu_q, sig_q, q_lo, q_hi, noise_sigma
+            got = None if _jobs is None else _jobs.get((jkey, jctr))
+            if got is None or got[0] != spec:
+                got = _job_draws(jkey, jctr, spec)
+            _, ups, eps, z_m, z_p, jctr = got
 
         d = ups0 + a * w1 + b0 * eps + w1 * gam * eps
         q = 1 if abs(d - sl) < xi else 0
