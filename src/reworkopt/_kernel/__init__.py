@@ -1,8 +1,10 @@
 """Kernel backend selection.
 
-The compiled extension is preferred when it imports; the pure-Python
-twin is the fallback and the reference.  Set REWORKOPT_PURE=1 to force
-the fallback (used by the parity tests and the benchmark).
+The compiled extension ``_core`` (built from the hand-written
+``_core.c`` by ``python3 setup.py build_ext --inplace``) is preferred
+when it imports; the pure-Python twin is the fallback and the
+reference.  Nothing is compiled on import.  Set REWORKOPT_PURE=1 to
+force the fallback (used by the parity tests and the benchmark).
 
 ``shared_draws()`` opens a scope in which the pure kernel computes each
 repeated draw once, a job's job-stream draws included (see ``pure``);

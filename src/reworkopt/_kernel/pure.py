@@ -1,9 +1,9 @@
 """Pure-Python kernel: counter-based RNG and the per-event shop-floor math.
 
-This module is the reference implementation; the compiled twin in
-``_core.pyx`` mirrors its arithmetic expression by expression.  Every
-arithmetic expression here is a contract: evaluation order must not
-change, or the two backends stop being bit-identical.
+This module is the reference implementation and the fallback; the
+hand-written C twin in ``_core.c`` mirrors its arithmetic expression by
+expression.  Every arithmetic expression here is a contract: evaluation
+order must not change, or the two backends stop being bit-identical.
 
 RNG scheme: splitmix64-style hash of (key, counter).  Each uniform draw
 consumes one counter tick; derived draws consume a deterministic (data

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
+import sys
+import types
+import typing
 from dataclasses import asdict, dataclass
 
 from . import __version__, storage
@@ -24,7 +27,8 @@ class ExperimentConfig:
     """Everything a run needs.  The generator spec defaults as
     instances.generate_instance does, the algorithm's options as
     DpeiaConfig does.  Construction checks every option (raising
-    InvalidOptionError), so a refused run writes nothing."""
+    InvalidOptionError), its declared type first, so a refused run
+    writes nothing."""
 
     n_jobs: int = GENERATOR_DEFAULTS["n_jobs"]
     sigma_q: float = GENERATOR_DEFAULTS["sigma_q"]
@@ -47,14 +51,37 @@ class ExperimentConfig:
     reference_path: str | None = None   # archive file with reference points
 
     def __post_init__(self):
+        for name, hint in typing.get_type_hints(type(self)).items():
+            value = getattr(self, name)
+            if not _conforms(value, hint):
+                shown = hint.__name__ if isinstance(hint, type) else hint
+                raise InvalidOptionError(
+                    f"{name} must be {shown}, got {value!r}")
         if not self.seeds:
             raise InvalidOptionError("need at least one seed")
+        if self.jobs < 1:
+            raise InvalidOptionError(
+                f"need at least one worker, got {self.jobs}")
         if self.instance_path is None and self.n_jobs < 1:
             raise InvalidOptionError("generator spec needs a positive job count")
         self.algo()
 
     def algo(self) -> DpeiaConfig:
         return carry(self, DpeiaConfig)
+
+
+def _conforms(value, hint) -> bool:
+    """Whether value is of the declared type hint; an int passes as a
+    float when a float can hold it."""
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):
+        return any(_conforms(value, h) for h in args)
+    if typing.get_origin(hint) is tuple:
+        return (isinstance(value, tuple)
+                and all(_conforms(v, args[0]) for v in value))
+    if hint is float and isinstance(value, int):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, hint)
 
 
 def resolve_instance(cfg: ExperimentConfig):
@@ -189,8 +216,11 @@ def run_experiment(cfg: ExperimentConfig):
     if cfg.instance_path is None:
         storage.save_instance(inst, os.path.join(cfg.outdir, "instance.txt"))
     results = {}
-    if cfg.jobs > 1 and len(cfg.seeds) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.jobs) as ex:
+    # the pool forks all its workers at the first submit: start no more
+    # than there are seeds
+    workers = min(cfg.jobs, len(cfg.seeds))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             futs = [ex.submit(_run_one_seed, inst, cfg, s) for s in cfg.seeds]
             for fut in futs:
                 seed, rows = fut.result()

@@ -1,10 +1,12 @@
 import os
 import subprocess
 import sys
+from concurrent.futures import Future
 
 import pytest
 
 import reworkopt
+from reworkopt import harness
 from reworkopt.cli import _parse_seeds, build_parser, main
 from reworkopt.instances import toy_instance
 from reworkopt.storage import (ARCHIVE_TAG, load_archive, load_instance,
@@ -156,6 +158,8 @@ _SMALL = ["--n-jobs", "6", "--pop-size", "2", "--max-iter", "2",
     ["run", *_SMALL, "--sigma-c", "nan"],
     ["run", *_SMALL, "--mu-c", "nan"],
     ["run", *_SMALL, "--mu-c", "inf"],
+    ["run", *_SMALL, "--jobs", "0"],
+    ["run", *_SMALL, "--jobs", "-3"],
     ["oracle", "--n-jobs", "12"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_a_refused_option_is_a_one_line_error(tmp_path, capsys, argv):
@@ -177,3 +181,34 @@ def test_a_run_refuses_an_instance_file_without_jobs(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "no jobs" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_starts_no_more_workers_than_seeds(tmp_path, monkeypatch, capsys):
+    sizes = []
+
+    class InlinePool:
+        """Stands in for the process pool: records its size and runs each
+        call at submit, so no process starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor",
+                        InlinePool)
+    assert main(["run", *_SMALL, "--jobs", "100000", "--seeds", "0:2",
+                 "--out", str(tmp_path / "two")]) == 0
+    assert main(["run", *_SMALL, "--jobs", "100000", "--seeds", "0",
+                 "--out", str(tmp_path / "one")]) == 0
+    assert sizes == [2]
+    assert capsys.readouterr().out.count("archive points") == 3

@@ -5,7 +5,9 @@ draw (floats repr round-trip exactly, the sign of zero included), once
 outside a ``shared_draws()`` scope and twice inside one: on the first
 call, which fills the pure kernel's tables, and on the repeat, which
 reads them.  Any change to an expression, a tick count or a memo shows
-up here.  Every importable backend must give the same digests.
+up here.  Every importable backend, and the compiled kernel built from
+this checkout's ``_core.c`` (``built_core``), must give the same
+digests.
 """
 
 import contextlib
@@ -102,10 +104,7 @@ def _digest(fn, calls):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("backend", sorted(backends()))
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_draws_match_their_pinned_digest(name, backend):
-    mod = backends()[backend]
+def _check(mod, name):
     draw, make, want = CASES[name]
     fn = getattr(mod, draw)
     calls = make(random.Random(name))
@@ -113,3 +112,14 @@ def test_draws_match_their_pinned_digest(name, backend):
     with getattr(mod, "shared_draws", contextlib.nullcontext)():
         assert _digest(fn, calls) == want
         assert _digest(fn, calls) == want
+
+
+@pytest.mark.parametrize("backend", sorted(backends()))
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_draws_match_their_pinned_digest(name, backend):
+    _check(backends()[backend], name)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_built_kernel_draws_match_their_pinned_digest(name, built_core):
+    _check(built_core, name)

@@ -1,8 +1,9 @@
 """The compiled kernel must be bit-identical to the pure reference.
 
-Scalar draws are compared in-process over both backends; the end-to-end
-check respawns the interpreter with REWORKOPT_PURE=1 because the
-backend binds at import.
+The compiled kernel under test is the one ``built_core`` builds from
+this checkout's ``_core.c``.  Scalar draws are compared in-process; the
+end-to-end check respawns the interpreter, because the backend binds at
+import.
 """
 
 import os
@@ -13,12 +14,7 @@ import sys
 
 import pytest
 
-from reworkopt._kernel import backends
-
-MODS = backends()
-
-pytestmark = pytest.mark.skipif(
-    "compiled" not in MODS, reason="compiled kernel not built")
+from reworkopt._kernel import pure
 
 
 def bits(x: float) -> bytes:
@@ -30,34 +26,30 @@ def pairs(n, seed):
     return [(r.getrandbits(64), r.randrange(0, 10**6)) for _ in range(n)]
 
 
-def test_u01_bitwise_equal():
-    pure, core = MODS["pure"], MODS["compiled"]
+def test_u01_bitwise_equal(built_core):
     for key, ctr in pairs(500, 1):
-        assert bits(pure.u01(key, ctr)) == bits(core.u01(key, ctr))
+        assert bits(pure.u01(key, ctr)) == bits(built_core.u01(key, ctr))
 
 
-def test_mix64_equal():
-    pure, core = MODS["pure"], MODS["compiled"]
+def test_mix64_equal(built_core):
     for key, _ in pairs(500, 2):
-        assert pure.mix64(key) == core.mix64(key)
+        assert pure.mix64(key) == built_core.mix64(key)
 
 
 @pytest.mark.parametrize("mu,sigma", [(0.0, 1.0), (3.5, 0.25), (-2.0, 7.0)])
-def test_normal_bitwise_equal(mu, sigma):
-    pure, core = MODS["pure"], MODS["compiled"]
+def test_normal_bitwise_equal(mu, sigma, built_core):
     for key, ctr in pairs(200, 3):
         xp, cp = pure.normal(key, ctr, mu, sigma)
-        xc, cc = core.normal(key, ctr, mu, sigma)
+        xc, cc = built_core.normal(key, ctr, mu, sigma)
         assert (bits(xp), cp) == (bits(xc), cc)
 
 
 @pytest.mark.parametrize("shape,scale", [(0.37, 2.5), (1.0, 1.0), (3.2, 0.4),
                                          (17.5, 0.01), (0.0, 1.0)])
-def test_gamma_bitwise_equal(shape, scale):
-    pure, core = MODS["pure"], MODS["compiled"]
+def test_gamma_bitwise_equal(shape, scale, built_core):
     for key, ctr in pairs(200, 4):
         xp, cp = pure.gamma(key, ctr, shape, scale)
-        xc, cc = core.gamma(key, ctr, shape, scale)
+        xc, cc = built_core.gamma(key, ctr, shape, scale)
         assert (bits(xp), cp) == (bits(xc), cc)
 
 
@@ -66,19 +58,17 @@ def test_gamma_bitwise_equal(shape, scale):
     (0.0, 1.0, -0.5, 0.5),
     (10.0, 0.0, 2.0, 8.0),
 ])
-def test_truncated_normal_bitwise_equal(mu, sigma, lo, hi):
-    pure, core = MODS["pure"], MODS["compiled"]
+def test_truncated_normal_bitwise_equal(mu, sigma, lo, hi, built_core):
     for key, ctr in pairs(200, 5):
         xp, cp = pure.truncated_normal(key, ctr, mu, sigma, lo, hi)
-        xc, cc = core.truncated_normal(key, ctr, mu, sigma, lo, hi)
+        xc, cc = built_core.truncated_normal(key, ctr, mu, sigma, lo, hi)
         assert (bits(xp), cp) == (bits(xc), cc)
 
 
-def test_clamped_normal_bitwise_equal():
-    pure, core = MODS["pure"], MODS["compiled"]
+def test_clamped_normal_bitwise_equal(built_core):
     for key, ctr in pairs(300, 6):
         xp, cp = pure.clamped_normal(key, ctr, 0.001, 0.015)
-        xc, cc = core.clamped_normal(key, ctr, 0.001, 0.015)
+        xc, cc = built_core.clamped_normal(key, ctr, 0.001, 0.015)
         assert (bits(xp), cp) == (bits(xc), cc)
 
 
@@ -101,15 +91,14 @@ def _step_args(r):
         mu_q=mu_q, sig_q=sig_q, q_lo=q_lo, q_hi=q_hi, noise_sigma=noise_sigma)
 
 
-def test_job_step_bitwise_equal():
-    pure, core = MODS["pure"], MODS["compiled"]
+def test_job_step_bitwise_equal(built_core):
     r = random.Random(7)
     for _ in range(400):
         key_j, key_e = r.getrandbits(64), r.getrandbits(64)
         ctr_j, ctr_e = r.randrange(10**4), r.randrange(10**4)
         kw = _step_args(r)
         rp = pure.job_step(key_j, ctr_j, key_e, ctr_e, **kw)
-        rc = core.job_step(key_j, ctr_j, key_e, ctr_e, **kw)
+        rc = built_core.job_step(key_j, ctr_j, key_e, ctr_e, **kw)
         for xp, xc in zip(rp, rc):
             if isinstance(xp, float):
                 assert bits(xp) == bits(xc)
@@ -136,12 +125,12 @@ def _draw_calls():
     return calls
 
 
-def test_shared_draws_bitwise_equal():
+def test_shared_draws_bitwise_equal(built_core):
     """Pure draws read from the tables of a shared_draws() scope, on a
     first call and on a repeated one, equal the compiled ones."""
-    pure, core = MODS["pure"], MODS["compiled"]
     calls = _draw_calls()
-    want = [repr(getattr(core, name)(*args, **kw)) for name, args, kw in calls]
+    want = [repr(getattr(built_core, name)(*args, **kw))
+            for name, args, kw in calls]
     with pure.shared_draws():
         for _ in range(2):
             got = [repr(getattr(pure, name)(*args, **kw))
@@ -151,6 +140,15 @@ def test_shared_draws_bitwise_equal():
 
 _E2E = r"""
 import hashlib
+import importlib.util
+import sys
+
+if len(sys.argv) > 1:   # bind the compiled kernel at this path
+    spec = importlib.util.spec_from_file_location("reworkopt._kernel._core",
+                                                  sys.argv[1])
+    sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules[spec.name])
+
 from reworkopt import _kernel
 from reworkopt.encoding import GeneBounds, decode, random_chromosome
 from reworkopt.improver import make_rescheduler
@@ -173,19 +171,21 @@ print(_kernel.BACKEND, h.hexdigest(), repr(tr.makespan), repr(tr.maint_cost))
 """
 
 
-def _run_e2e(force_pure: bool):
+def _run_e2e(core=None):
+    """The run's digest line on core, or on the pure kernel when None."""
     env = dict(os.environ)
     env.pop("REWORKOPT_PURE", None)
-    if force_pure:
+    if core is None:
         env["REWORKOPT_PURE"] = "1"
-    out = subprocess.run([sys.executable, "-c", _E2E], env=env,
-                         capture_output=True, text=True, check=True)
+    argv = [sys.executable, "-c", _E2E] + ([core.__file__] if core else [])
+    out = subprocess.run(argv, env=env, capture_output=True, text=True,
+                         check=True)
     return out.stdout.split()
 
 
-def test_full_simulation_identical_across_backends():
-    backend_a, *rest_a = _run_e2e(False)
-    backend_b, *rest_b = _run_e2e(True)
+def test_full_simulation_identical_across_backends(built_core):
+    backend_a, *rest_a = _run_e2e(built_core)
+    backend_b, *rest_b = _run_e2e()
     assert backend_a == "compiled"
     assert backend_b == "pure"
     assert rest_a == rest_b
