@@ -9,7 +9,11 @@ force the fallback (used by the parity tests and the benchmark).
 ``shared_draws()`` opens a scope in which the pure kernel computes each
 repeated draw once, a job's job-stream draws included (see ``pure``);
 callers open it through ``rng.shared_draws()``, which also shares job
-keys.  The compiled kernel has no such memo, so there it is a no-op.
+keys.  Inside it, ``prefetch(jobs, envs)`` draws a fresh root's first
+job and environment draws at once, in lanes of one integer (the
+simulator calls it once per root).  The compiled kernel has no memo,
+so there both are no-ops.  The kernel API is the seven draws of
+``_core`` plus these two.
 """
 
 import contextlib
@@ -37,6 +41,7 @@ gamma = _impl.gamma
 truncated_normal = _impl.truncated_normal
 job_step = _impl.job_step
 shared_draws = getattr(_impl, "shared_draws", contextlib.nullcontext)
+prefetch = getattr(_impl, "prefetch", lambda jobs, envs: None)
 
 
 def backends():

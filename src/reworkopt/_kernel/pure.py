@@ -19,20 +19,34 @@ they were drawn for (all label replications of a scope replay the same
 job keys).  No value can change: a memo is used only for the very
 inputs of its draws, it holds the very doubles the expressions
 produced, and the wear increments are recomputed at each call from the
-kept standard normals.  The memos
-spare the big-integer hashing and Python-level sampling that dominate
-this module.  The compiled twin hashes in machine words and needs no
-such memo, so it has none and the kernel API is the same on both
-backends.
+kept standard normals.  The memos spare the big-integer hashing and
+Python-level sampling that dominate this module.  The compiled twin
+hashes in machine words and needs no such memo, so it has none; its
+``shared_draws`` and ``prefetch`` are no-ops, and the kernel API is the
+same on both backends.
+
+A root's first draws come in one batch: when a stochastic run starts on
+a root no run of the scope has drawn from (the first label replication
+of a scope, the first projection of a trigger), the simulator hands
+``prefetch`` its real jobs' keys and type specs and its machines'
+environment keys.  ``prefetch`` hashes all their first ticks at once, in
+the 128-bit lanes of one Python int (``_mix64_lanes``: exact, so every
+uniform is bit for bit ``u01``'s), and fills the tables with what the
+scalar draws would store there: each job's ``_job_draws`` from counter
+0, and each environment stream's uniforms and the normals at the ticks
+where gamma reads them.  Whatever the batch does not cover (a rejected
+draw past its ticks, a longer run) the scalar draws compute as before.
 
 The hot draws read the tables without a chain of calls: ``gamma``
 indexes its key's rows itself, ``job_step`` looks a real job's kept
 draws up itself, and ``_std_normal`` hashes both of its uniforms
-inline (the expressions of ``u01`` and ``mix64``).  Each draw still has
-one implementation, the same in and out of a scope.
+inline (the expressions of ``u01`` and ``mix64``).  Each draw has one
+scalar implementation, the same in and out of a scope; the batch reuses
+its float expressions (``_box_muller`` is ``_std_normal``'s transform).
 """
 
 import math
+import sys
 from array import array
 from contextlib import contextmanager
 
@@ -42,6 +56,12 @@ _TWO_PI = 6.283185307179586
 _INV_2_53 = 2.0 ** -53
 _HOLE = array("d", [float("nan")])
 _NO_ROW = array("d")
+# lanes are packed in native byte order, where a lane's low 64 bits are
+# word _LO of its two
+_ORDER = sys.byteorder
+_LO = 0 if _ORDER == "little" else 1
+_LANE_M64 = _M64.to_bytes(16, _ORDER)
+_JOB_TICKS = 8          # batched ticks of a job key: 4 standard normals
 
 
 def mix64(z):
@@ -56,6 +76,42 @@ def u01(key, ctr):
     """Uniform double in the open interval (0, 1)."""
     z = mix64((key + ((ctr + 1) * _GOLDEN)) & _M64)
     return ((z >> 11) + 0.5) * _INV_2_53
+
+
+def _mix64_lanes(x, n, shift=0):
+    """mix64(lane) >> shift for each of the n 128-bit lanes of x, as a
+    memoryview of n 64-bit words.
+
+    A lane may hold up to 127 bits.  As in mix64, every round masks each
+    lane to 64 bits before it multiplies, so no product carries into the
+    next lane; a right shift moves the next lane's low bits only into
+    the top half of a lane, which the next mask clears or the unpacking
+    drops.  The mask is built from bytes on each call, not kept."""
+    mask = int.from_bytes(_LANE_M64 * n, _ORDER)
+    x &= mask
+    x = (((x ^ (x >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
+    x = (((x ^ (x >> 27)) & mask) * 0x94D049BB133111EB) & mask
+    x = (x ^ (x >> 31)) >> shift
+    return memoryview(x.to_bytes(16 * n, _ORDER)).cast("Q")[_LO::2]
+
+
+def _u01_lanes(groups):
+    """u01(key, ctr) for every key of each (keys, ticks) group and every
+    ctr below its ticks, key by key, in one list.  Keys are below 2**64.
+    A lane holds key + (ctr + 1) * _GOLDEN, built from bytes: each key
+    repeated, plus a prefix of one golden-ratio pattern of the most
+    ticks."""
+    top = max(ticks for _, ticks in groups)
+    golden = b"".join((((t + 1) * _GOLDEN) & _M64).to_bytes(16, _ORDER)
+                      for t in range(top))
+    keys_b, golden_b, n = [], [], 0
+    for keys, ticks in groups:
+        keys_b += [k.to_bytes(16, _ORDER) * ticks for k in keys]
+        golden_b.append(golden[:16 * ticks] * len(keys))
+        n += ticks * len(keys)
+    x = (int.from_bytes(b"".join(keys_b), _ORDER)
+         + int.from_bytes(b"".join(golden_b), _ORDER))
+    return [(z + 0.5) * _INV_2_53 for z in _mix64_lanes(x, n, 11)]
 
 
 # Draw tables of the open shared_draws() scope: key -> array('d') of
@@ -84,6 +140,69 @@ def shared_draws():
         yield
     finally:
         _normals, _uniforms, _jobs = outer
+
+
+def prefetch(jobs, envs):
+    """Fill the open scope's tables at once for a root none of whose
+    streams was drawn from yet; outside a scope do nothing.
+
+    jobs yields (jkey, args) for the root's real jobs: the key, drawn
+    from jctr 0, and job_step's arguments after o, whose last seven are
+    the type spec of _job_draws.  envs lists (ekey, steps) for its
+    machines' environment streams, steps bounding the gamma draws a run
+    takes there.  Every value is the one its scalar draw gives:
+    _jobs[jkey, 0] is _job_draws(jkey, 0, spec) from ticks 0-7 of jkey
+    (a key that needs more ticks is left to _job_draws), the _uniforms
+    row of ekey holds u01 for its first 3 * (steps + 2) ticks, and its
+    _normals row the standard normal at every third of them, where
+    gamma reads its normals while no attempt is rejected and no shape is
+    below 1.  All uniforms are hashed in one call of _mix64_lanes."""
+    if _jobs is None:
+        return
+    jobs = list(jobs)
+    envs = [(ekey, 3 * (steps + 2)) for ekey, steps in envs]
+    u = _u01_lanes([([jkey for jkey, _ in jobs], _JOB_TICKS)]
+                   + [([ekey], ticks) for ekey, ticks in envs])
+    i = 0
+    for jkey, args in jobs:
+        got = _batched_job_draws(u, i, args[11:])
+        if got is not None and got[1] != 0.0:
+            _jobs[jkey, 0] = got
+        i += _JOB_TICKS
+    for ekey, ticks in envs:
+        row = _uniforms[ekey] = array("d", u[i:i + ticks])
+        nrow = _normals[ekey] = _HOLE * ticks
+        nrow[::3] = array("d", [_box_muller(row[t], row[t + 1])
+                                for t in range(0, ticks, 3)])
+        i += ticks
+
+
+def _batched_job_draws(u, i, spec):
+    """_job_draws(jkey, 0, spec) from jkey's uniforms u[i:i + _JOB_TICKS],
+    or None when its draws need more ticks."""
+    sl, xi, mu_q, sig_q, q_lo, q_hi, noise_sigma = spec
+    start, end = i, i + _JOB_TICKS
+    if sig_q == 0.0:
+        ups = q_lo if mu_q < q_lo else q_hi if mu_q > q_hi else mu_q
+    else:
+        while True:
+            if i == end:
+                return None
+            ups = mu_q + sig_q * _box_muller(u[i], u[i + 1])
+            i += 2
+            if q_lo <= ups <= q_hi:
+                break
+    outside = not abs(ups - sl) < xi
+    if i + (6 if outside else 4) > end:
+        return None
+    eps = 0.0 + noise_sigma * _box_muller(u[i], u[i + 1])
+    i += 2
+    z_m = None
+    if outside:
+        z_m = _box_muller(u[i], u[i + 1])
+        i += 2
+    z_p = _box_muller(u[i], u[i + 1])
+    return spec, ups, eps, z_m, z_p, i + 2 - start
 
 
 def _row(table, key, ctr):
@@ -118,6 +237,11 @@ def _std_normal(key, ctr):
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
     u2 = (((z ^ (z >> 31)) >> 11) + 0.5) * _INV_2_53
+    return _box_muller(u1, u2)
+
+
+def _box_muller(u1, u2):
+    """Box-Muller's cosine branch: the standard normal of two uniforms."""
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
 
 

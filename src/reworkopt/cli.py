@@ -204,8 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one verb; a refused option, instance or file is a one-line
-    error and exit status 2."""
+    """Run one verb; a refused option, instance or file, or a path that
+    names no such file or directory, is a one-line error and exit
+    status 2."""
     args = build_parser().parse_args(argv)
     del args.verb                       # leave the verb's own options only
     cmd = vars(args).pop("func")
@@ -214,7 +215,10 @@ def main(argv=None) -> int:
     except (InvalidOptionError, InvalidInstanceError,
             storage.FormatError) as err:
         print("reworkopt: %s" % err, file=sys.stderr)
-        return 2
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as err:
+        print("reworkopt: %s: %s" % (err.strerror, err.filename),
+              file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -212,6 +212,10 @@ def run_experiment(cfg: ExperimentConfig):
     Returns (per_seed_rows, report_path).
     """
     inst = resolve_instance(cfg)
+    reference = None
+    if cfg.reference_path is not None:
+        ref_rows = storage.load_archive(cfg.reference_path)
+        reference = [(cmax, cost) for _, cmax, cost, _ in ref_rows]
     storage.ensure_dir(cfg.outdir)
     if cfg.instance_path is None:
         storage.save_instance(inst, os.path.join(cfg.outdir, "instance.txt"))
@@ -229,10 +233,6 @@ def run_experiment(cfg: ExperimentConfig):
         for s in cfg.seeds:
             seed, rows = _run_one_seed(inst, cfg, s)
             results[seed] = rows
-    reference = None
-    if cfg.reference_path is not None:
-        ref_rows = storage.load_archive(cfg.reference_path)
-        reference = [(cmax, cost) for _, cmax, cost, _ in ref_rows]
     per_seed_points = {s: [(r[1], r[2]) for r in rows]
                        for s, rows in results.items()}
     report_path = write_aggregate_report(cfg.outdir, per_seed_points, reference)

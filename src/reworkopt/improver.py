@@ -85,7 +85,7 @@ def _score(ctx: RescheduleContext, queues, counter, seen: list) -> float:
 
 
 def _real_positions(row) -> list[int]:
-    return [i for i, e in enumerate(row) if not e.is_idle]
+    return [i for i, e in enumerate(row) if e.job is not None]
 
 
 def reschedule(ctx: RescheduleContext, budget: int,
@@ -108,7 +108,7 @@ def reschedule(ctx: RescheduleContext, budget: int,
             best, best_f = base_append, f_append
         cur, cur_f = best, best_f
         est = {mid: ctx.states[mid].ready
-               + sum(e.job.nominal_times[mid] for e in row if not e.is_idle)
+               + sum(e.job.nominal_times[mid] for e in row if e.job is not None)
                for mid, row in cur.items()}
         for it in range(1, budget + 1):
             cand = {mid: list(row) for mid, row in cur.items()}
@@ -147,7 +147,7 @@ def reschedule(ctx: RescheduleContext, budget: int,
                 cur, cur_f = cand, f
                 est = {mid: ctx.states[mid].ready
                        + sum(e.job.nominal_times[mid]
-                             for e in row if not e.is_idle)
+                             for e in row if e.job is not None)
                        for mid, row in cur.items()}
             if f > best_f:
                 best, best_f = cand, f

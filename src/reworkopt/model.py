@@ -114,6 +114,7 @@ class ProblemInstance:
         self._by_id = {m.id: m for m in self.machines}
         self._caps: dict[int, list[int]] = {}
         self._slots: dict[tuple[int, ...], list[dict[int, float]]] = {}
+        self._targets: dict[tuple[int, ...], dict[int, float]] = {}
         if not self.idle_nominal:
             self.idle_nominal = _mean_nominals(self.jobs)
 
@@ -153,6 +154,27 @@ class ProblemInstance:
                 table.append({m: times[m] for m in self.capable_machines(t)})
             self._slots[idle_types] = table
         return table
+
+    def slot_targets(self, idle_types: tuple[int, ...]) -> dict[int, float]:
+        """Per machine, its capability-weighted mean slot count: the
+        slots of each (type, machine set) group are counted, in order of
+        appearance, and each group's count is spread evenly over its
+        machines.  Built once per idle_types and shared, so never mutate
+        it."""
+        target = self._targets.get(idle_types)
+        if target is None:
+            table = self.slot_times(idle_types)
+            types = [j.type for j in self.jobs] + list(idle_types)
+            group_counts: dict[tuple, int] = {}
+            for t, times in zip(types, table):
+                grp = (t, tuple(sorted(times)))
+                group_counts[grp] = group_counts.get(grp, 0) + 1
+            target = {m.id: 0.0 for m in self.machines}
+            for (_, caps), c in group_counts.items():
+                for mid in caps:
+                    target[mid] += c / len(caps)
+            self._targets[idle_types] = target
+        return target
 
 
 def dominates(p, q) -> bool:

@@ -161,16 +161,9 @@ def rebalance(chrom: Chromosome, inst: ProblemInstance, rng: RngStream) -> None:
     """Move slots off overloaded machines toward the capability-weighted
     mean count.  Only moves that shrink the worst overload are taken, so
     the slot-closure invariant is untouched and the loop terminates.
-    Targets are summed per (type, machine set), in order of appearance."""
+    The targets are the instance's slot_targets, built once per run."""
     table = inst.slot_times(chrom.idle_types)
-    group_counts: dict[tuple, int] = {}
-    for slot in range(chrom.n_slots):
-        grp = (chrom.slot_type(inst, slot), tuple(sorted(table[slot])))
-        group_counts[grp] = group_counts.get(grp, 0) + 1
-    target = {m.id: 0.0 for m in inst.machines}
-    for (_, caps), c in group_counts.items():
-        for mid in caps:
-            target[mid] += c / len(caps)
+    target = inst.slot_targets(chrom.idle_types)
     counts = {m.id: 0 for m in inst.machines}
     for mid in chrom.assign:
         counts[mid] += 1

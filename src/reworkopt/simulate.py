@@ -89,10 +89,6 @@ class _Ent:
         self.args = args
         self.release = release
 
-    @property
-    def is_idle(self) -> bool:
-        return self.job is None
-
 
 @dataclass
 class JobEvent:
@@ -230,6 +226,8 @@ class _Sim:
         self.env = {mid: root.substream(NS_ENV, mid) for mid in queues}
         # entity eid draws with key job_keys[eid]
         self.job_keys = root.substream(NS_JOB).subkeys()
+        if not cfg.det and not self.job_keys:
+            self._prefetch()
         self.job_events: list[JobEvent] = []
         self.idle_events: list[IdleEvent] = []
         self.maint_events: list[MaintenanceEvent] = []
@@ -254,6 +252,19 @@ class _Sim:
         self.maint_keys: list[tuple[float, int]] = []
 
     # -- helpers -------------------------------------------------------
+
+    def _prefetch(self) -> None:
+        """Hand the kernel the real jobs' keys and job_step arguments and
+        the machines' environment keys of a stochastic run whose root no
+        run has drawn from yet, so that inside a shared_draws() scope it
+        draws them all at once.  The jobs are a generator: the keys are
+        hashed only if the kernel reads them."""
+        job_keys = self.job_keys
+        _kernel.prefetch(
+            ((job_keys[e.eid], e.args[mid])
+             for mid, row in self.queues.items()
+             for e in row if e.job is not None),
+            [(self.env[mid].key, len(row)) for mid, row in self.queues.items()])
 
     def _drain(self, upto: float) -> None:
         while self.heap and self.heap[0][0] <= upto:
@@ -404,7 +415,7 @@ class _Sim:
             queues, f_r = fill_idle_slots(ctx), None
         for mid, row in queues.items():
             for ent in row:
-                if not ent.is_idle and mid not in ent.job.nominal_times:
+                if ent.job is not None and mid not in ent.job.nominal_times:
                     raise ValueError(
                         f"reschedule put job {ent.job.id} on incapable machine {mid}")
         self.queues = queues
@@ -659,7 +670,7 @@ def _place_copies(ctx: RescheduleContext, fill: bool) -> dict[int, list[_Ent]]:
     """The pending queues with the rework copies placed, each at the tail
     of the least loaded capable machine unless fill finds it an idle slot."""
     queues = {mid: list(row) for mid, row in ctx.pending.items()}
-    loads = {mid: sum(e.job.nominal_times[mid] for e in row if not e.is_idle)
+    loads = {mid: sum(e.job.nominal_times[mid] for e in row if e.job is not None)
              for mid, row in queues.items()}
     leftover = []
     for copy in ctx.copies:
@@ -668,7 +679,7 @@ def _place_copies(ctx: RescheduleContext, fill: bool) -> dict[int, list[_Ent]]:
             if not fill or mid not in copy.job.nominal_times:
                 continue
             for pos, ent in enumerate(row):
-                if ent.is_idle and ent.type == copy.job.type:
+                if ent.job is None and ent.type == copy.job.type:
                     spots.append((pos, mid))
                     break
         if spots:

@@ -172,6 +172,22 @@ def test_a_refused_option_is_a_one_line_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--instance", "nope.txt", *_SMALL[2:], "--out", "out"],
+    ["run", *_SMALL, "--reference", "nope.txt", "--out", "out"],
+    ["gantt", "--instance", "nope.txt", "--out", "out"],
+    ["report", "--run-dir", "out"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_a_missing_file_is_a_one_line_error(tmp_path, capsys, monkeypatch,
+                                            argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("reworkopt: No such file or directory: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_run_refuses_an_instance_file_without_jobs(tmp_path, capsys):
     empty = toy_instance(0)
     path = tmp_path / "empty.txt"

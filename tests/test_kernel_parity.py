@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+from reworkopt import _kernel
 from reworkopt._kernel import pure
 
 
@@ -24,6 +25,22 @@ def bits(x: float) -> bytes:
 def pairs(n, seed):
     r = random.Random(seed)
     return [(r.getrandbits(64), r.randrange(0, 10**6)) for _ in range(n)]
+
+
+# the kernel API: the draws both backends define, and the pure kernel's
+# shared-draw scope and batch, which resolve to no-ops on the compiled one
+DRAWS = {"mix64", "u01", "normal", "clamped_normal", "gamma",
+         "truncated_normal", "job_step"}
+
+
+def test_the_backends_expose_the_kernel_api(built_core):
+    assert {n for n in dir(built_core) if not n.startswith("_")} == DRAWS
+    defined = {n for n, v in vars(pure).items()
+               if callable(v) and not n.startswith("_")
+               and v.__module__ == pure.__name__}
+    assert defined == DRAWS | {"shared_draws", "prefetch"}
+    for name in DRAWS | {"shared_draws", "prefetch"}:
+        assert callable(getattr(_kernel, name))
 
 
 def test_u01_bitwise_equal(built_core):
