@@ -28,8 +28,8 @@ same on both backends.
 A root's first draws come in one batch: when a stochastic run starts on
 a root no run of the scope has drawn from (the first label replication
 of a scope, the first projection of a trigger), the simulator hands
-``prefetch`` its real jobs' keys and type specs and its machines'
-environment keys.  ``prefetch`` hashes all their first ticks at once, in
+``prefetch`` its real jobs' keys and ``job_step`` arguments and its
+machines' environment keys.  ``prefetch`` hashes all their first ticks at once, in
 the 128-bit lanes of one Python int (``_mix64_lanes``: exact, so every
 uniform is bit for bit ``u01``'s), and fills the tables with what the
 scalar draws would store there: each job's ``_job_draws`` from counter
@@ -82,11 +82,12 @@ def _mix64_lanes(x, n, shift=0):
     """mix64(lane) >> shift for each of the n 128-bit lanes of x, as a
     memoryview of n 64-bit words.
 
-    A lane may hold up to 127 bits.  As in mix64, every round masks each
-    lane to 64 bits before it multiplies, so no product carries into the
-    next lane; a right shift moves the next lane's low bits only into
-    the top half of a lane, which the next mask clears or the unpacking
-    drops.  The mask is built from bytes on each call, not kept."""
+    As in mix64, each lane is first reduced to 64 bits, and every round
+    masks the lanes to 64 bits before it multiplies, so no product
+    carries into the next lane; a right shift moves the next lane's low
+    bits only into the top half of a lane, which the next mask clears or
+    the unpacking drops.  The mask is built from bytes on each call, not
+    kept."""
     mask = int.from_bytes(_LANE_M64 * n, _ORDER)
     x &= mask
     x = (((x ^ (x >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
@@ -165,7 +166,7 @@ def prefetch(jobs, envs):
                    + [([ekey], ticks) for ekey, ticks in envs])
     i = 0
     for jkey, args in jobs:
-        got = _batched_job_draws(u, i, args[11:])
+        got = _batched_job_draws(u, i, args[-7:])
         if got is not None and got[1] != 0.0:
             _jobs[jkey, 0] = got
         i += _JOB_TICKS

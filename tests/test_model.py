@@ -35,6 +35,17 @@ def test_slot_table_gives_each_slot_its_own_machines():
     assert inst.slot_times(()) == table[:2]
 
 
+def test_slot_targets_spread_each_group_over_its_machines():
+    jobs = [Job(0, 0, {2: 1.0, 0: 3.0}), Job(1, 0, {1: 2.0}),
+            Job(2, 0, {0: 2.0, 2: 1.5})]
+    inst = _tiny(jobs, [_machine(id=m) for m in (0, 1, 2)])
+    # groups: type 0 on {0, 2} twice, on {1} once, reserved on {0, 1, 2}
+    target = inst.slot_targets((0,))
+    assert target == {0: 1.0 + 1 / 3, 1: 1.0 + 1 / 3, 2: 1.0 + 1 / 3}
+    assert inst.slot_targets((0,)) is target
+    assert inst.slot_targets(()) == {0: 1.0, 1: 1.0, 2: 1.0}
+
+
 def test_capable_machines_union_over_jobs():
     inst = _tiny([Job(0, 0, {0: 1.0}), Job(1, 0, {1: 2.0})],
                  [_machine(id=0), _machine(id=1)])

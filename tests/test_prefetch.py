@@ -12,7 +12,7 @@ import sys
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reworkopt import _kernel, planner, rng
+from reworkopt import _kernel, rng
 from reworkopt._kernel import pure
 from reworkopt.encoding import decode, random_chromosome
 from reworkopt.instances import generate_instance
@@ -154,22 +154,14 @@ def _setup():
     return inst, master, chrom
 
 
-def _spy(monkeypatch):
-    calls = []
-    orig = _kernel.prefetch
-
-    def spy(jobs, envs):
-        calls.append(len(envs))
-        orig(jobs, envs)
-    monkeypatch.setattr(_kernel, "prefetch", spy)
-    return calls
-
-
 def test_a_root_is_prefetched_once_per_scope_and_never_by_a_det_run(
         monkeypatch):
     inst, master, chrom = _setup()
     plan = decode(chrom, inst)
-    calls = _spy(monkeypatch)
+    calls = []
+    orig = _kernel.prefetch
+    monkeypatch.setattr(_kernel, "prefetch", lambda jobs, envs: (
+        calls.append(len(envs)), orig(jobs, envs)))
     det = SimConfig(mode=STATIC, det=True, summary=True)
     stochastic = SimConfig(mode=STATIC, summary=True)
     with rng.shared_draws():
@@ -188,14 +180,3 @@ def test_a_root_is_prefetched_once_per_scope_and_never_by_a_det_run(
     assert (pure._normals, pure._uniforms, pure._jobs) == (None, None, None)
     assert simulate(inst, plan, root, stochastic) == first
 
-
-def test_prefetched_labels_equal_labels_outside_a_scope(monkeypatch):
-    inst, master, chrom = _setup()
-    cfg = planner.PlannerConfig(label_reps=4)
-    outside = planner.label_static_obj(inst, chrom, master, cfg)
-    calls = _spy(monkeypatch)
-    with rng.shared_draws():
-        assert planner.label_static_obj(inst, chrom, master, cfg) == outside
-        assert len(calls) == 4          # one per replication root
-        assert planner.label_static_obj(inst, chrom, master, cfg) == outside
-        assert len(calls) == 4
