@@ -28,8 +28,8 @@ same on both backends.
 A root's first draws come in one batch: when a stochastic run starts on
 a root no run of the scope has drawn from (the first label replication
 of a scope, the first projection of a trigger), the simulator hands
-``prefetch`` its real jobs' keys and ``job_step`` arguments and its
-machines' environment keys.  ``prefetch`` hashes all their first ticks at once, in
+``prefetch`` its real jobs' keys and type specs and its machines'
+environment keys.  ``prefetch`` hashes all their first ticks at once, in
 the 128-bit lanes of one Python int (``_mix64_lanes``: exact, so every
 uniform is bit for bit ``u01``'s), and fills the tables with what the
 scalar draws would store there: each job's ``_job_draws`` from counter
@@ -147,9 +147,8 @@ def prefetch(jobs, envs):
     """Fill the open scope's tables at once for a root none of whose
     streams was drawn from yet; outside a scope do nothing.
 
-    jobs yields (jkey, args) for the root's real jobs: the key, drawn
-    from jctr 0, and job_step's arguments after o, whose last seven are
-    the type spec of _job_draws.  envs lists (ekey, steps) for its
+    jobs yields (jkey, spec) for the root's real jobs: the key, drawn
+    from jctr 0, and the type spec of _job_draws.  envs lists (ekey, steps) for its
     machines' environment streams, steps bounding the gamma draws a run
     takes there.  Every value is the one its scalar draw gives:
     _jobs[jkey, 0] is _job_draws(jkey, 0, spec) from ticks 0-7 of jkey
@@ -165,8 +164,8 @@ def prefetch(jobs, envs):
     u = _u01_lanes([([jkey for jkey, _ in jobs], _JOB_TICKS)]
                    + [([ekey], ticks) for ekey, ticks in envs])
     i = 0
-    for jkey, args in jobs:
-        got = _batched_job_draws(u, i, args[-7:])
+    for jkey, spec in jobs:
+        got = _batched_job_draws(u, i, spec)
         if got is not None and got[1] != 0.0:
             _jobs[jkey, 0] = got
         i += _JOB_TICKS
@@ -180,7 +179,9 @@ def prefetch(jobs, envs):
 
 def _batched_job_draws(u, i, spec):
     """_job_draws(jkey, 0, spec) from jkey's uniforms u[i:i + _JOB_TICKS],
-    or None when its draws need more ticks."""
+    or None when its draws need more ticks.  The same draws in the same
+    order and the same float expressions: truncated_normal's (ups), then
+    normal's (eps), then the standard normals z_m and z_p."""
     sl, xi, mu_q, sig_q, q_lo, q_hi, noise_sigma = spec
     start, end = i, i + _JOB_TICKS
     if sig_q == 0.0:

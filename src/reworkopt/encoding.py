@@ -39,6 +39,10 @@ class Chromosome:
         h.update(repr(tuple(getattr(self, f.name) for f in fields(self))).encode())
         return h.hexdigest()[:16]
 
+    def slot_type(self, inst: ProblemInstance, slot: int) -> int:
+        n = inst.n_jobs
+        return inst.jobs[slot].type if slot < n else self.idle_types[slot - n]
+
 
 @dataclass
 class GeneBounds:

@@ -254,14 +254,15 @@ class _Sim:
     # -- helpers -------------------------------------------------------
 
     def _prefetch(self) -> None:
-        """Hand the kernel the real jobs' keys and job_step arguments and
-        the machines' environment keys of a stochastic run whose root no
-        run has drawn from yet, so that inside a shared_draws() scope it
-        draws them all at once.  The jobs are a generator: the keys are
-        hashed only if the kernel reads them."""
+        """Hand the kernel the real jobs' keys and type specs (the last
+        seven of job_step's arguments) and the machines' environment keys
+        of a stochastic run whose root no run has drawn from yet, so that
+        inside a shared_draws() scope it draws them all at once.  The jobs
+        are a generator: the keys are hashed only if the kernel reads
+        them."""
         job_keys = self.job_keys
         _kernel.prefetch(
-            ((job_keys[e.eid], e.args[mid])
+            ((job_keys[e.eid], e.args[mid][-7:])
              for mid, row in self.queues.items()
              for e in row if e.job is not None),
             [(self.env[mid].key, len(row)) for mid, row in self.queues.items()])

@@ -67,11 +67,6 @@ SPECS = {
 }
 
 
-# job_step's arguments after o, up to the type spec
-WEAR = (0.2, 1.0, 6e-5, 80.0, 0.003, 0.05, 0.015, 42.72, 0.0112, 0.0098,
-        0.0137)
-
-
 def _scalar(jkey, spec):
     """_job_draws outside a scope, where it stores nothing."""
     assert pure._jobs is None
@@ -82,7 +77,7 @@ def test_each_case_is_kept_or_left_as_the_scalar_draws_say():
     keys = [pure.mix64(i) for i in range(200)]
     for name, spec in SPECS.items():
         with pure.shared_draws():
-            pure.prefetch(((k, WEAR + spec) for k in keys), [])
+            pure.prefetch(((k, spec) for k in keys), [])
             kept = dict(pure._jobs)
         n_kept = n_z_m = n_long = 0
         for k in keys:
@@ -113,7 +108,7 @@ def test_prefetched_tables_hold_the_scalar_values(jobs, envs):
     env_keys = {k for k, _ in envs}
     jobs = [j for j in jobs if j[0] not in env_keys]
     with pure.shared_draws():
-        pure.prefetch([(k, WEAR + spec) for k, spec in jobs], envs)
+        pure.prefetch(jobs, envs)
         kept = dict(pure._jobs)
         uniforms, normals = dict(pure._uniforms), dict(pure._normals)
     for k, spec in jobs:
@@ -138,7 +133,7 @@ def test_prefetch_does_nothing_outside_a_scope():
 
     def jobs():
         drawn.append(1)
-        yield 7, WEAR + SPECS["wide"]
+        yield 7, SPECS["wide"]
 
     pure.prefetch(jobs(), [(9, 5)])
     assert not drawn
