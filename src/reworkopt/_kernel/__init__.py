@@ -12,8 +12,11 @@ callers open it through ``rng.shared_draws()``, which also shares job
 keys.  Inside it, ``prefetch(jobs, envs)`` draws a fresh root's first
 job and environment draws at once, in lanes of one integer (the
 simulator calls it once per root).  The compiled kernel has no memo,
-so there both are no-ops.  The kernel API is the seven draws of
-``_core`` plus these two.
+so there both are no-ops.  The kernel API is the eight functions of
+``_core`` plus these two: the draws ``mix64``, ``u01``, ``normal``,
+``clamped_normal``, ``gamma`` and ``truncated_normal``, the event step
+``job_step``, and ``run_machine``, which steps one machine of a summary
+run in one call.
 """
 
 import contextlib
@@ -40,6 +43,7 @@ clamped_normal = _impl.clamped_normal
 gamma = _impl.gamma
 truncated_normal = _impl.truncated_normal
 job_step = _impl.job_step
+run_machine = _impl.run_machine
 shared_draws = getattr(_impl, "shared_draws", contextlib.nullcontext)
 prefetch = getattr(_impl, "prefetch", lambda jobs, envs: None)
 

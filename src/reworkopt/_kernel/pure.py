@@ -43,6 +43,16 @@ draws up itself, and ``_std_normal`` hashes both of its uniforms
 inline (the expressions of ``u01`` and ``mix64``).  Each draw has one
 scalar implementation, the same in and out of a scope; the batch reuses
 its float expressions (``_box_muller`` is ``_std_normal``'s transform).
+
+``run_machine`` steps one machine of a summary run in one call, and so
+repeats, in the same order, the expressions of ``job_step`` (the wear
+and time of the event, the quality outcome, the increments) and of
+``gamma`` (the Marsaglia-Tsang loop, the boost below shape 1, the table
+reads); the job draws it leaves to ``_job_draws`` and ``_std_normal``.
+The summary-vs-full parity tests of ``tests/test_simulate.py`` hold it to
+``job_step`` (a summary run against the full run's events), and
+``tests/test_kernel_parity.py`` holds the compiled ``run_machine``,
+which calls the compiled step itself, to it bit for bit.
 """
 
 import math
@@ -419,3 +429,190 @@ def job_step(jkey, jctr, ekey, ectr, det, kind, w, dt, o,
 
     w3 = (w1 + du_m) + du_p
     return p, d, q, ups, eps, dv, du_m, du_p, w3, jctr, ectr
+
+
+def run_machine(row, i, mid, job_keys, ekey, ectr, det, skip_idle, cap, w0,
+                t_cm, zeta, n_u, w, ready, last_start, maint_acc, n_pm,
+                suspended, cyc_jobs, cyc_busy, lt, end, q_count):
+    """Step machine mid of a summary run through row[i:], its state in
+    locals, up to the row's end or the first step at which a preventive
+    action is due.
+
+    row holds the simulator's entries: each has release, job (None for
+    an idle placeholder), eid, times[mid] (the nominal time o) and
+    args[mid] (job_step's arguments after o).  Entry e draws from job
+    key job_keys[e.eid] at counter 0 and the machine from (ekey, ectr);
+    a det run draws nothing and reads no job key.  skip_idle skips idle
+    placeholders instead of stepping them.  Per entry, in this order:
+    its start t = max(ready, release); a stop before it if a preventive
+    action is due (not suspended, w / cap >= zeta, n_pm < n_u); a
+    skipped placeholder; a corrective reset if w > cap; otherwise
+    job_step's event, a real job's completion counted into end,
+    q_count, cyc_jobs and cyc_busy, and a corrective reset at the
+    completion that crossed cap.  A reset at repair start `at` sets w to
+    w0, n_pm to 0, suspended to False, the cycle counts to 0, ready to
+    at + t_cm and adds t_cm to maint_acc.  lt is the start of the last
+    step taken.
+
+    Returns (i, stop, ectr, w, ready, last_start, maint_acc, n_pm,
+    suspended, cyc_jobs, cyc_busy, lt, end, q_count, resets): stop is
+    the due step's start or None at the row's end, and resets lists
+    (step start, repair start, wear before) of each reset in order.
+
+    The event is job_step's and the environment draw gamma's, expression
+    for expression and in the same order; the shared-draw tables are
+    read as those functions read them.  The summary-vs-full parity
+    tests in tests/test_simulate.py pin this copy to job_step, and
+    tests/test_kernel_parity.py pins the compiled twin to it.
+    """
+    normals, uniforms, jobs = _normals, _uniforms, _jobs
+    sqrt, log, pow = math.sqrt, math.log, math.pow
+    if normals is not None:
+        nrow, urow = normals.get(ekey, _NO_ROW), uniforms.get(ekey, _NO_ROW)
+    resets = []
+    stop = None
+    n = len(row)
+    unpacked = None     # the args tuple whose values are in locals
+    while i < n:
+        ent = row[i]
+        t = ready
+        if ent.release > t:
+            t = ent.release
+        if not suspended and w / cap >= zeta and n_pm < n_u:
+            stop = t
+            break
+        job = ent.job
+        if job is None and skip_idle:
+            i += 1
+            lt = t
+            continue
+        if w > cap:
+            resets.append((t, ready, w))
+            w, n_pm, suspended, cyc_jobs, cyc_busy = w0, 0, False, 0, 0.0
+            ready = ready + t_cm
+            maint_acc += t_cm
+            lt = t
+            continue
+        dt = (t - last_start) - maint_acc
+        if dt < 0.0:
+            dt = 0.0
+        o = ent.times[mid]
+        args = ent.args[mid]
+        if args is not unpacked:
+            unpacked = args
+            (eta, alpha, beta, mu_m, sig_m, mu_p, sig_p, ups0, a, b0, gam, sl,
+             xi, mu_q, sig_q, q_lo, q_hi, noise_sigma) = args
+            spec = sl, xi, mu_q, sig_q, q_lo, q_hi, noise_sigma
+
+        # job_step's environment wear: gamma(ekey, ectr, alpha * dt, beta)
+        shape = alpha * dt
+        if det:
+            dv = alpha * dt * beta
+        elif shape <= 0.0:
+            dv = 0.0
+        else:
+            # a shape below 1 is boosted: Gamma(shape + 1), one uniform
+            boost = shape < 1.0
+            dd = (shape + 1.0 if boost else shape) - 1.0 / 3.0
+            c = 1.0 / sqrt(9.0 * dd)
+            while True:
+                if normals is None:
+                    x = _std_normal(ekey, ectr)
+                else:
+                    if ectr >= len(nrow):
+                        nrow = _row(normals, ekey, ectr)
+                    x = nrow[ectr]
+                    if x != x:
+                        x = nrow[ectr] = _std_normal(ekey, ectr)
+                ectr += 2
+                v = 1.0 + c * x
+                if v <= 0.0:
+                    continue
+                v = v * v * v
+                if uniforms is None:
+                    u = u01(ekey, ectr)
+                else:
+                    if ectr >= len(urow):
+                        urow = _row(uniforms, ekey, ectr)
+                    u = urow[ectr]
+                    if u != u:
+                        u = urow[ectr] = u01(ekey, ectr)
+                ectr += 1
+                if u < 1.0 - 0.0331 * (x * x) * (x * x):
+                    break
+                if log(u) < 0.5 * x * x + dd * (1.0 - v + log(v)):
+                    break
+            dv = dd * v * beta
+            if boost:
+                if uniforms is None:
+                    u = u01(ekey, ectr)
+                else:
+                    if ectr >= len(urow):
+                        urow = _row(uniforms, ekey, ectr)
+                    u = urow[ectr]
+                    if u != u:
+                        u = urow[ectr] = u01(ekey, ectr)
+                ectr += 1
+                dv = dv * pow(u, 1.0 / shape)
+        w1 = w + dv
+        p = o * (1.0 + eta * w1)
+
+        # job_step's outcome and increments
+        if job is None:
+            du_m = 0.0
+            if not det:
+                jkey = job_keys[ent.eid]
+                if normals is None:
+                    z_p = _std_normal(jkey, 0)
+                else:
+                    jrow = normals.get(jkey)
+                    if jrow is None:
+                        jrow = _row(normals, jkey, 0)
+                    z_p = jrow[0]
+                    if z_p != z_p:
+                        z_p = jrow[0] = _std_normal(jkey, 0)
+        else:
+            if det:
+                ups = mu_q
+                if ups < q_lo:
+                    ups = q_lo
+                elif ups > q_hi:
+                    ups = q_hi
+                eps = 0.0
+            else:
+                jkey = job_keys[ent.eid]
+                got = None if jobs is None else jobs.get((jkey, 0))
+                if got is None or got[0] != spec:
+                    got = _job_draws(jkey, 0, spec)
+                _, ups, eps, z_m, z_p, _ = got
+            d = ups0 + a * w1 + b0 * eps + w1 * gam * eps
+            delta = abs(ups - sl)
+            if delta < xi:
+                du_m = 0.0
+            else:
+                du_m = delta * mu_m if det else delta * mu_m + sig_m * z_m
+                if du_m < 0.0:
+                    du_m = 0.0
+            if t + p > end:
+                end = t + p
+            if abs(d - sl) < xi:
+                q_count += 1
+            cyc_jobs += 1
+            cyc_busy += p
+        du_p = p * mu_p if det else p * mu_p + sig_p * z_p
+        if du_p < 0.0:
+            du_p = 0.0
+        w = (w1 + du_m) + du_p
+
+        last_start = t
+        maint_acc = 0.0
+        ready = t + p
+        i += 1
+        lt = t
+        if w > cap:
+            resets.append((t, ready, w))
+            w, n_pm, suspended, cyc_jobs, cyc_busy = w0, 0, False, 0, 0.0
+            ready = ready + t_cm
+            maint_acc += t_cm
+    return (i, stop, ectr, w, ready, last_start, maint_acc, n_pm, suspended,
+            cyc_jobs, cyc_busy, lt, end, q_count, resets)

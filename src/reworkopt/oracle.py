@@ -17,7 +17,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .encoding import Chromosome
 from .model import (InvalidOptionError, ObjectivePair, ProblemInstance,
                     front_insert)
 from .simulate import ScheduleTrace
@@ -308,17 +307,3 @@ def enumerate_pareto(inst: ProblemInstance,
                     zeta, n_u)
                 front_insert(front, sol, lambda s: s.objectives)
     return sorted(front, key=lambda s: s.objectives)
-
-
-def solution_chromosome(inst: ProblemInstance, sol: OracleSolution) -> Chromosome:
-    """Rebuild a chromosome that the policy simulator decodes and
-    executes into exactly the enumerated outcome (deterministic mode,
-    no grouping window)."""
-    n = inst.n_jobs
-    assign = list(sol.assign)
-    key = [0.0] * n
-    for mid, order in sol.orders.items():
-        for pos, ji in enumerate(order):
-            key[ji] = (pos + 1.0) / (len(order) + 1.0)
-    return Chromosome(assign, key, (), zeta=sol.zeta, psi=0.0, thr_r=0.95,
-                      n_u=sol.n_u)

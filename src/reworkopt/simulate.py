@@ -32,12 +32,14 @@ projections always run so) track makespan, maintenance cost and the
 qualified count as they go and build no job or idle event records;
 their trace has empty job_events and idle_events but the full
 maintenance event list.  Draws and results match the full run exactly.
-A STATIC or SUFFIX summary run steps each machine on its own, its
-state in locals, up to the first step at which a preventive action is
-due; only there can machines meet (grouping and screening), so those
-steps alone are taken in global order (``_Sim._advance_machines``).
-ONLINE runs and full runs keep the one global loop (``_Sim._advance``):
-rework consumes completions in global time order.
+A STATIC or SUFFIX summary run steps each machine on its own up to the
+first step at which a preventive action is due, in one kernel call
+(``_kernel.run_machine``, state in locals, corrective resets included);
+only at a due step can machines meet (grouping and screening), so those
+steps alone are taken in Python and in global order
+(``_Sim._advance_machines``).  ONLINE runs and full runs keep the one
+global loop (``_Sim._advance``), one ``job_step`` call per event: rework
+consumes completions in global time order.
 
 A plan is prepared once into entity rows (``prepare``) that carry the
 kernel arguments fixed along a run.  No run mutates the rows or their
@@ -224,8 +226,9 @@ class _Sim:
         self.cfg = cfg
         self.det = 1 if cfg.det else 0
         self.env = {mid: root.substream(NS_ENV, mid) for mid in queues}
-        # entity eid draws with key job_keys[eid]
-        self.job_keys = root.substream(NS_JOB).subkeys()
+        # entity eid draws with key job_keys[eid]; a det run draws nothing
+        # and reads no key
+        self.job_keys = None if cfg.det else root.substream(NS_JOB).subkeys()
         if not cfg.det and not self.job_keys:
             self._prefetch()
         self.job_events: list[JobEvent] = []
@@ -285,13 +288,16 @@ class _Sim:
     def _apply_cm(self, mid: int, at: float) -> None:
         st = self.states[mid]
         mp = self.machines[mid]
-        st.cyc_cost += mp.c_cm
-        ev = MaintenanceEvent("cm", mid, at, mp.t_cm, mp.c_cm, None,
-                              w_before=st.w, w_after=mp.w0, n_pm_after=0)
+        self._log_cm(mid, at, st.w)
         corrective_maintenance(st, mp)
         st.ready = at + mp.t_cm
         st.maint_acc += mp.t_cm
-        self.maint_events.append(ev)
+
+    def _log_cm(self, mid: int, at: float, w_before: float) -> None:
+        mp = self.machines[mid]
+        self.maint_events.append(MaintenanceEvent(
+            "cm", mid, at, mp.t_cm, mp.c_cm, None, w_before=w_before,
+            w_after=mp.w0, n_pm_after=0))
 
     def _suspend_if_unprofitable(self, mid: int) -> bool:
         """Run the payoff screen; returns True if the machine got
@@ -459,10 +465,11 @@ class _Sim:
             del stops[mid]
             # a machine whose last step comes after the due one ran
             # past it, so at the due step it was not due itself
-            self._run_machine(mid, stops, [m for m in stops
-                                           if (self.last[m], m) < key])
-            # grouped and screened machines changed; the rest stop again
-            for m in list(stops):
+            cands = [m for m in stops if (self.last[m], m) < key]
+            self._take_due(mid, t, cands)
+            # only the due machine and the candidates can have changed;
+            # the rest would stop where they stopped
+            for m in [mid, *cands]:
                 self._run_machine(m, stops)
         # maintenance in the order of the steps that produced it, as
         # _advance appends it: the cost is a float sum
@@ -470,97 +477,50 @@ class _Sim:
                        key=self.maint_keys.__getitem__)
         self.maint_events = [self.maint_events[k] for k in order]
 
-    def _run_machine(self, mid: int, stops: dict[int, tuple[float, int]],
-                     cands: list[int] | None = None) -> None:
-        """Step machine mid on its own as _advance would, its state in
-        locals.  It stops before the first step at which its state makes
-        a preventive action due, with work left, and enters that step's
-        (start, id) in stops; given the grouping candidates cands, it
-        first takes that step itself."""
-        job_step = _kernel.job_step
+    def _run_machine(self, mid: int, stops: dict[int, tuple[float, int]]
+                     ) -> None:
+        """Step machine mid on its own as _advance would, in one kernel
+        call (run_machine).  It stops before the first step at which its
+        state makes a preventive action due, with work left, and enters
+        that step's (start, id) in stops; the repairs on the way are
+        logged at the steps that needed them."""
         st = self.states[mid]
-        row = self.queues[mid]
-        n = len(row)
-        i = self.ptr[mid]
-        cap = self.machines[mid].cap
-        zeta, n_u = self.chrom.zeta, self.chrom.n_u
-        det, job_keys = self.det, self.job_keys
-        skip_idle = self.cfg.mode != STATIC
+        mp = self.machines[mid]
         erng = self.env[mid]
-        ekey, ectr = erng.key, erng.ctr
-        events, keys = self.maint_events, self.maint_keys
-        lt, end, q_count = self.last[mid], self.end, self.q_count
-        stops.pop(mid, None)
-        w, ready, last_start = st.w, st.ready, st.last_start
-        maint_acc, cyc_jobs, cyc_busy = st.maint_acc, st.cyc_jobs, st.cyc_busy
-        suspended, n_pm = st.suspended, st.n_pm
-        while i < n:
-            ent = row[i]
-            t = ready
-            if ent.release > t:
-                t = ent.release
-            due = not suspended and w / cap >= zeta and n_pm < n_u
-            if due and cands is None:
-                stops[mid] = (t, mid)
-                break
-            job = ent.job
-            if job is None and skip_idle:
-                i += 1
-                lt = t
-                cands = None
-                continue
-            if w > cap or due:
-                # maintenance works on st, and a due one on the others
-                (st.w, st.ready, st.last_start, st.maint_acc, st.cyc_jobs,
-                 st.cyc_busy) = (w, ready, last_start, maint_acc, cyc_jobs,
-                                 cyc_busy)
-                self.ptr[mid] = i
-                if w > cap:
-                    self._apply_cm(mid, ready)
-                    acted = True
-                else:
-                    acted = self._try_pm(mid, t, cands)
-                keys.extend([(t, mid)] * (len(events) - len(keys)))
-                cands = None
-                w, ready, maint_acc = st.w, st.ready, st.maint_acc
-                cyc_jobs, cyc_busy = st.cyc_jobs, st.cyc_busy
-                suspended, n_pm = st.suspended, st.n_pm
-                if acted:
-                    lt = t
-                    continue
-            dt = (t - last_start) - maint_acc
-            if dt < 0.0:
-                dt = 0.0
-            (p, _, q, _, _, _, _, _, w, _, ectr) = job_step(
-                job_keys[ent.eid], 0, ekey, ectr, det,
-                1 if job is None else 0, w, dt, ent.times[mid],
-                *ent.args[mid])
-            if job is not None:
-                if t + p > end:
-                    end = t + p
-                q_count += q
-                cyc_jobs += 1
-                cyc_busy += p
-            last_start = t
-            maint_acc = 0.0
-            ready = t + p
-            i += 1
-            lt = t
-            if w > cap:
-                (st.w, st.ready, st.last_start, st.maint_acc, st.cyc_jobs,
-                 st.cyc_busy) = (w, ready, last_start, maint_acc, cyc_jobs,
-                                 cyc_busy)
-                self._apply_cm(mid, ready)
-                keys.append((t, mid))
-                w, ready, maint_acc = st.w, st.ready, st.maint_acc
-                cyc_jobs, cyc_busy = st.cyc_jobs, st.cyc_busy
-                suspended, n_pm = st.suspended, st.n_pm
-        (st.w, st.ready, st.last_start, st.maint_acc, st.cyc_jobs,
-         st.cyc_busy) = (w, ready, last_start, maint_acc, cyc_jobs, cyc_busy)
-        erng.ctr = ectr
-        self.ptr[mid] = i
-        self.last[mid] = lt
-        self.end, self.q_count = end, q_count
+        (self.ptr[mid], stop, erng.ctr, st.w, st.ready, st.last_start,
+         st.maint_acc, st.n_pm, st.suspended, st.cyc_jobs, st.cyc_busy,
+         self.last[mid], self.end, self.q_count, resets) = _kernel.run_machine(
+            self.queues[mid], self.ptr[mid], mid, self.job_keys, erng.key,
+            erng.ctr, self.det, self.cfg.mode != STATIC, mp.cap, mp.w0,
+            mp.t_cm, self.chrom.zeta, self.chrom.n_u, st.w, st.ready,
+            st.last_start, st.maint_acc, st.n_pm, st.suspended, st.cyc_jobs,
+            st.cyc_busy, self.last[mid], self.end, self.q_count)
+        if stop is None:
+            stops.pop(mid, None)
+        else:
+            stops[mid] = (stop, mid)
+        if resets:
+            st.cyc_cost = 0.0
+            for t, at, w_before in resets:
+                self._log_cm(mid, at, w_before)
+                self.maint_keys.append((t, mid))
+
+    def _take_due(self, mid: int, t: float, cands: list[int]) -> None:
+        """The due step of machine mid's stop at start t, as _advance
+        takes it: a skipped idle placeholder, a repair, or the preventive
+        action that the machines cands may join.  A suspended action
+        leaves the step to _run_machine."""
+        st = self.states[mid]
+        if self.queues[mid][self.ptr[mid]].job is None \
+                and self.cfg.mode != STATIC:
+            self.ptr[mid] += 1
+        elif st.w > self.machines[mid].cap:
+            self._apply_cm(mid, st.ready)
+        elif not self._try_pm(mid, t, cands):
+            return
+        self.maint_keys.extend(
+            [(t, mid)] * (len(self.maint_events) - len(self.maint_keys)))
+        self.last[mid] = t
 
     def _advance(self) -> None:
         """Process events in global time order until every queue is
@@ -611,7 +571,7 @@ class _Sim:
             erng = env[mid]
             w = st.w
             (p, d, q, ups, eps, dv, du_m, du_p, w_after, _, erng.ctr) = job_step(
-                job_keys[ent.eid], 0, erng.key, erng.ctr, det,
+                0 if det else job_keys[ent.eid], 0, erng.key, erng.ctr, det,
                 1 if job is None else 0, w, dt, ent.times[mid],
                 *ent.args[mid])
             if job is None:

@@ -98,14 +98,6 @@ def test_digest_tracks_every_field():
     assert base.copy().digest() == base.digest()
 
 
-def test_slot_type_and_idle_flag():
-    jobs = [Job(0, 0, {0: 1.0})]
-    inst = _inst(jobs, [_machine()])
-    ch = Chromosome(assign=[0, 0], key=[0.1, 0.9], idle_types=(0,))
-    assert ch.slot_type(inst, 0) == 0
-    assert ch.slot_type(inst, 1) == 0
-
-
 def test_planned_starts_tight_timetable():
     jobs = [Job(0, 0, {0: 2.0}), Job(1, 0, {0: 3.0}), Job(2, 0, {1: 4.0})]
     inst = _inst(jobs, [_machine(id=0), _machine(id=1)],

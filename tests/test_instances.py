@@ -1,11 +1,12 @@
 import pytest
 
-from reworkopt.instances import (BASE_GLOBALS, TYPE_MACHINES, TYPE_RANGES,
-                                 TYPE_SL, TYPE_XI, audit_instance,
-                                 base_machines, generate_instance, oracle_toy,
-                                 toy_instance)
-from reworkopt.model import (InvalidInstanceError, InvalidOptionError,
-                             validate_instance)
+from reworkopt.instances import (_NS_JOBGEN, BASE_GLOBALS, TYPE_MACHINES,
+                                 TYPE_RANGES, TYPE_SL, TYPE_XI, base_machines,
+                                 generate_instance, oracle_toy, toy_instance)
+from reworkopt.model import (GlobalParams, InvalidInstanceError,
+                             InvalidOptionError, Job, MachineParams,
+                             ProblemInstance, QualitySpec, validate_instance)
+from reworkopt.rng import RngStream
 
 
 def test_benchmark_machine_zero_fields():
@@ -152,6 +153,37 @@ def test_oracle_toy_is_enumeration_friendly():
         assert m.w0 < 0.05
     assert validate_instance(inst) == []
     assert len(oracle_toy(0, n_jobs=4).jobs) == 4
+
+
+def audit_instance(seed: int, n_jobs: int = 8) -> ProblemInstance:
+    """Maintenance-free deterministic regime for sequence-swap audits.
+
+    Failure thresholds are unreachable, inputs all conform, and quality
+    drifts upward with wear (a > 0, base offset inside the band), so a
+    schedule walks from conforming into nonconforming output as wear
+    accumulates and adjacent pairs of both kinds exist.
+    """
+    root = RngStream.from_seed(seed)
+    machines = []
+    for k in range(2):
+        machines.append(MachineParams(
+            id=k, w0=0.0, cap=1e9,
+            mu_minus=2.0, sigma_minus=0.01,
+            mu_plus=0.1 + 0.02 * k, sigma_plus=0.01,
+            alpha=0.05, beta=0.1,
+            ups0=20.02, a=0.04, b0=0.01, gamma=0.01,
+            t_pm=1.0, t_ps=0.5, t_cm=5.0,
+            c_pm=20.0, c_ps=5.0, c_cm=100.0))
+    jobs = []
+    for i in range(n_jobs):
+        jrng = root.substream(_NS_JOBGEN, i)
+        nominal = {0: 1.2 + 1.6 * jrng.uniform(), 1: 1.2 + 1.6 * jrng.uniform()}
+        jobs.append(Job(id=i, type=0, nominal_times=nominal))
+    quality = {0: QualitySpec(target=20.0, tol=0.06, mu_q=20.0, sigma_q=0.01,
+                              lo=19.97, hi=20.03)}
+    g = GlobalParams(eta=0.3, theta=0.3, varphi=0.05, noise_sigma=1.0)
+    return ProblemInstance(jobs, machines, quality, g,
+                           meta={"kind": "audit", "seed": seed})
 
 
 def test_audit_instance_never_maintains():

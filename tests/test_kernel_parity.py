@@ -6,6 +6,8 @@ end-to-end check respawns the interpreter, because the backend binds at
 import.
 """
 
+import contextlib
+import math
 import os
 import random
 import struct
@@ -13,9 +15,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reworkopt import _kernel
 from reworkopt._kernel import pure
+from reworkopt.model import Job
+from reworkopt.rng import RngStream
+from reworkopt.simulate import _Ent
 
 
 def bits(x: float) -> bytes:
@@ -27,10 +34,11 @@ def pairs(n, seed):
     return [(r.getrandbits(64), r.randrange(0, 10**6)) for _ in range(n)]
 
 
-# the kernel API: the draws both backends define, and the pure kernel's
-# shared-draw scope and batch, which resolve to no-ops on the compiled one
+# the kernel API: the draws and the summary-run loop both backends
+# define, and the pure kernel's shared-draw scope and batch, which
+# resolve to no-ops on the compiled one
 DRAWS = {"mix64", "u01", "normal", "clamped_normal", "gamma",
-         "truncated_normal", "job_step"}
+         "truncated_normal", "job_step", "run_machine"}
 
 
 def test_the_backends_expose_the_kernel_api(built_core):
@@ -123,6 +131,83 @@ def test_job_step_bitwise_equal(built_core):
                 assert xp == xc
 
 
+# job_step's arguments after the nominal time o, in order
+_ENTRY_ARGS = ("eta", "alpha", "beta", "mu_m", "sig_m", "mu_p", "sig_p",
+               "ups0", "a", "b0", "gam", "sl", "xi", "mu_q", "sig_q", "q_lo",
+               "q_hi", "noise_sigma")
+
+
+def _machine_case(r):
+    """The arguments of one run_machine call on machine 3: a row of real
+    jobs, idle placeholders and released copies, wear that crosses the
+    threshold within a few steps, and a state that may start past the
+    threshold or due."""
+    mid = 3
+    row = []
+    for eid in range(r.randrange(12)):
+        kw = _step_args(r)
+        idle = r.random() < 0.25
+        release = 0.0 if idle or r.random() < 0.7 else r.uniform(0.0, 30.0)
+        row.append(_Ent(eid, eid, None if idle else Job(eid, 0, {mid: kw["o"]}),
+                        0, {mid: kw["o"]},
+                        {mid: tuple(kw[k] for k in _ENTRY_ARGS)}, release))
+    cap = r.uniform(0.3, 1.0)
+    ready = r.uniform(0.0, 10.0)
+    last_start = ready - r.uniform(0.0, 5.0)
+    return dict(
+        row=row, i=r.randrange(len(row) + 1) if r.random() < 0.2 else 0,
+        mid=mid, job_keys=RngStream(r.getrandbits(64)).subkeys(),
+        ekey=r.getrandbits(64), ectr=r.randrange(50),
+        det=r.random() < 0.3, skip_idle=r.random() < 0.5, cap=cap,
+        w0=r.uniform(0.0, 0.5) * cap, t_cm=r.uniform(0.5, 4.0),
+        zeta=r.choice([r.uniform(0.2, 1.0), 2.0]), n_u=r.randrange(4),
+        w=r.uniform(0.0, 1.3) * cap, ready=ready, last_start=last_start,
+        maint_acc=r.choice([0.0, r.uniform(0.0, 3.0)]), n_pm=r.randrange(3),
+        suspended=r.random() < 0.2, cyc_jobs=r.randrange(5),
+        cyc_busy=r.uniform(0.0, 10.0), lt=last_start,
+        end=r.choice([-math.inf, r.uniform(0.0, 20.0)]), q_count=r.randrange(5))
+
+
+def _assert_run_machine_equal(core, case, scope):
+    """Pure run_machine, on a first call and, inside a shared_draws()
+    scope, on a repeat that reads the tables, equals the compiled one."""
+    want = repr(core.run_machine(**case))
+    with pure.shared_draws() if scope else contextlib.nullcontext():
+        for _ in range(1 + scope):
+            assert repr(pure.run_machine(**case)) == want
+    return core.run_machine(**case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_run_machine_bitwise_equal(built_core, r, scope):
+    _assert_run_machine_equal(built_core, _machine_case(r), scope)
+
+
+def test_the_run_machine_cases_reach_every_branch(built_core):
+    """The cases above reach each way a machine run can go."""
+    seen = set()
+    r = random.Random(11)
+    for k in range(300):
+        case = _machine_case(r)
+        i, stop, *_, lt, end, q_count, resets = _assert_run_machine_equal(
+            built_core, case, k % 2)
+        taken = case["row"][case["i"]:i]
+        seen |= {("det" if case["det"] else "random",
+                  "scope" if k % 2 else "no scope")}
+        seen.add("due stop" if stop is not None else "row end")
+        # a reset before a step starts its repair at or before the step
+        seen |= {"reset before" if at <= t else "reset after"
+                 for t, at, _ in resets}
+        seen |= {"idle skipped" if case["skip_idle"] else "idle stepped"
+                 for e in taken if e.job is None}
+        seen |= {"released" for e in taken if e.release > 0.0}
+    assert seen >= {("det", "scope"), ("det", "no scope"),
+                    ("random", "scope"), ("random", "no scope"),
+                    "due stop", "row end", "reset before", "reset after",
+                    "idle skipped", "idle stepped", "released"}
+
+
 def _draw_calls():
     """Draws of every kind on few keys, so that their counters overlap."""
     r = random.Random(8)
@@ -169,9 +254,11 @@ if len(sys.argv) > 1:   # bind the compiled kernel at this path
 from reworkopt import _kernel
 from reworkopt.encoding import GeneBounds, decode, random_chromosome
 from reworkopt.improver import make_rescheduler
-from reworkopt.instances import toy_instance
-from reworkopt.rng import RngStream
-from reworkopt.simulate import ONLINE, SimConfig, simulate
+from reworkopt.instances import generate_instance, toy_instance
+from reworkopt.planner import PlannerConfig, label_static_obj
+from reworkopt.rng import RngStream, shared_draws
+from reworkopt.simulate import (ONLINE, SimConfig, append_copies,
+                                fill_idle_slots, simulate, simulate_suffix)
 
 inst = toy_instance(10, 3)
 rng = RngStream.from_seed(5)
@@ -184,6 +271,30 @@ for ev in tr.job_events:
                    ev.d, ev.qualified, ev.w_after)).encode())
 for ev in tr.maint_events:
     h.update(repr((ev.kind, ev.machine_id, ev.time, ev.cost)).encode())
+
+# summary runs: labels, random and deterministic, and the suffix
+# projections of every trigger of an online run
+inst = generate_instance(30, 2)
+ctxs = []
+
+def hook(ctx):
+    ctxs.append(ctx)
+    return fill_idle_slots(ctx), None
+
+for k in range(3):
+    chrom = random_chromosome(inst, (0, 1), RngStream.from_seed(k))
+    with shared_draws():
+        for det in (False, True):
+            h.update(repr(label_static_obj(
+                inst, chrom, rng, PlannerConfig(label_reps=3, det=det))).encode())
+    chrom.thr_r = 0.2
+    simulate(inst, decode(chrom, inst), RngStream.from_seed(k),
+             SimConfig(mode=ONLINE, rescheduler=hook))
+for ctx in ctxs:
+    with shared_draws():
+        for queues in (fill_idle_slots(ctx), append_copies(ctx)):
+            h.update(repr(simulate_suffix(ctx, queues, ctx.rng)).encode())
+h.update(repr(len(ctxs)).encode())
 print(_kernel.BACKEND, h.hexdigest(), repr(tr.makespan), repr(tr.maint_cost))
 """
 

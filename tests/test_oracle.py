@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reworkopt.encoding import decode, random_chromosome
+from reworkopt.encoding import Chromosome, decode, random_chromosome
 from reworkopt.improver import make_rescheduler
 from reworkopt.instances import generate_instance, oracle_toy, toy_instance
 from reworkopt.model import (GlobalParams, Job, MachineParams, ProblemInstance,
                              QualitySpec, dominates, require_valid)
 from reworkopt.oracle import (OracleSolution, _feasible, check_feasibility,
-                              enumerate_pareto, solution_chromosome)
+                              enumerate_pareto)
 from reworkopt.rng import NS_INIT, NS_LABEL, NS_ONLINE, RngStream
 from reworkopt.simulate import (ONLINE, STATIC, MaintenanceEvent, SimConfig,
                                 idle_space_count, simulate)
@@ -172,6 +172,20 @@ def test_enumeration_size_guard():
                            GlobalParams(0.0, 0.2, 0.08, noise_sigma=0.0))
     with pytest.raises(ValueError):
         enumerate_pareto(inst, max_jobs=2)
+
+
+def solution_chromosome(inst: ProblemInstance, sol: OracleSolution) -> Chromosome:
+    """Rebuild a chromosome that the policy simulator decodes and
+    executes into exactly the enumerated outcome (deterministic mode,
+    no grouping window)."""
+    n = inst.n_jobs
+    assign = list(sol.assign)
+    key = [0.0] * n
+    for mid, order in sol.orders.items():
+        for pos, ji in enumerate(order):
+            key[ji] = (pos + 1.0) / (len(order) + 1.0)
+    return Chromosome(assign, key, (), zeta=sol.zeta, psi=0.0, thr_r=0.95,
+                      n_u=sol.n_u)
 
 
 def test_enumerated_front_replays_exactly():

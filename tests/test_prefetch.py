@@ -16,6 +16,7 @@ from reworkopt import _kernel, rng
 from reworkopt._kernel import pure
 from reworkopt.encoding import decode, random_chromosome
 from reworkopt.instances import generate_instance
+from reworkopt.planner import PlannerConfig, det_preview, label_static_obj
 from reworkopt.rng import NS_INIT, NS_LABEL, RngStream
 from reworkopt.simulate import STATIC, SimConfig, idle_space_count, simulate
 
@@ -175,3 +176,20 @@ def test_a_root_is_prefetched_once_per_scope_and_never_by_a_det_run(
     assert (pure._normals, pure._uniforms, pure._jobs) == (None, None, None)
     assert simulate(inst, plan, root, stochastic) == first
 
+
+
+def test_the_first_label_after_a_det_preview_is_prefetched(monkeypatch):
+    """A det preview runs on the root of label replication 0 and draws
+    nothing, so it hashes no job key there: that replication's first
+    label is still batched."""
+    inst, master, chrom = _setup()
+    calls = []
+    orig = _kernel.prefetch
+    monkeypatch.setattr(_kernel, "prefetch", lambda jobs, envs: (
+        calls.append(len(envs)), orig(jobs, envs)))
+    cfg = PlannerConfig(label_reps=2)
+    with rng.shared_draws():
+        det_preview(inst, chrom, master, cfg)
+        assert calls == []
+        label_static_obj(inst, chrom, master, cfg)
+    assert calls == [len(inst.machines)] * cfg.label_reps
