@@ -15,8 +15,8 @@ simulator calls it once per root).  The compiled kernel has no memo,
 so there both are no-ops.  The kernel API is the eight functions of
 ``_core`` plus these two: the draws ``mix64``, ``u01``, ``normal``,
 ``clamped_normal``, ``gamma`` and ``truncated_normal``, the event step
-``job_step``, and ``run_machine``, which steps one machine of a summary
-run in one call.
+``job_step``, and ``run_machine``, which steps one machine of a run in
+one call and records each step in a ``record`` list (see ``pure``).
 """
 
 import contextlib

@@ -109,11 +109,12 @@ draw_truncated_normal(uint64_t key, uint64_t *ctr, double mu, double sigma,
 /* ---- argument conversion ---------------------------------------------- */
 
 /* Fill out[0..n) with the arguments of a METH_FASTCALL | METH_KEYWORDS
-   call of fname, whose parameters, all required, are names[0..n). */
+   call of fname, whose parameters are names[0..n), the first nreq of
+   them required; an optional one not given is NULL. */
 static int
 bind(const char *fname, const char *const *names, Py_ssize_t n,
-     PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames,
-     PyObject **out)
+     Py_ssize_t nreq, PyObject *const *args, Py_ssize_t nargs,
+     PyObject *kwnames, PyObject **out)
 {
     Py_ssize_t i, k, nkw = kwnames ? PyTuple_GET_SIZE(kwnames) : 0;
 
@@ -141,7 +142,7 @@ bind(const char *fname, const char *const *names, Py_ssize_t n,
         }
         out[i] = args[nargs + k];
     }
-    for (i = 0; i < n; i++)
+    for (i = 0; i < nreq; i++)
         if (!out[i]) {
             PyErr_Format(PyExc_TypeError, "%s() missing required argument "
                          "'%s'", fname, names[i]);
@@ -184,7 +185,7 @@ key_ctr_doubles(const char *fname, const char *const *names, Py_ssize_t n,
     PyObject *a[6];
     Py_ssize_t i;
 
-    if (bind(fname, names, n, args, nargs, kwnames, a) || as_key(a[0], key)
+    if (bind(fname, names, n, n, args, nargs, kwnames, a) || as_key(a[0], key)
         || as_ctr(a[1], ctr))
         return -1;
     for (i = 2; i < n; i++)
@@ -241,7 +242,8 @@ FASTCALL_KW(mix64)
     PyObject *a[1];
     uint64_t z;
 
-    if (bind("mix64", names, 1, args, nargs, kwnames, a) || as_key(a[0], &z))
+    if (bind("mix64", names, 1, 1, args, nargs, kwnames, a)
+        || as_key(a[0], &z))
         return NULL;
     return PyLong_FromUnsignedLongLong(mix64(z));
 }
@@ -255,7 +257,7 @@ FASTCALL_KW(u01)
     PyObject *a[2];
     uint64_t key, ctr;
 
-    if (bind("u01", names, 2, args, nargs, kwnames, a) || as_key(a[0], &key)
+    if (bind("u01", names, 2, 2, args, nargs, kwnames, a) || as_key(a[0], &key)
         || as_ctr(a[1], &ctr))
         return NULL;
     return PyFloat_FromDouble(u01(key, ctr));
@@ -415,7 +417,8 @@ FASTCALL_KW(job_step)
     struct step s;
     int det, kind, i;
 
-    if (bind("job_step", names, 6 + N_STEP_DOUBLES, args, nargs, kwnames, arg)
+    if (bind("job_step", names, 6 + N_STEP_DOUBLES, 6 + N_STEP_DOUBLES,
+                args, nargs, kwnames, arg)
         || as_key(arg[0], &jkey) || as_ctr(arg[1], &jctr)
         || as_key(arg[2], &ekey) || as_ctr(arg[3], &ectr)
         || (det = PyObject_IsTrue(arg[4])) < 0
@@ -561,9 +564,12 @@ reset(struct machine *m, double t, double w0, double t_cm, PyObject *resets)
 PyDoc_STRVAR(run_machine_doc,
 "run_machine($module, row, i, mid, job_keys, ekey, ectr, det, skip_idle,\n"
 "            cap, w0, t_cm, zeta, n_u, w, ready, last_start, maint_acc,\n"
-"            n_pm, suspended, cyc_jobs, cyc_busy, lt, end, q_count)\n--\n\n"
-"Step one machine of a summary run up to its row's end or its first due\n"
-"preventive action; see pure.run_machine for the contract.\n\n"
+"            n_pm, suspended, cyc_jobs, cyc_busy, lt, end, q_count,\n"
+"            record=None)\n--\n\n"
+"Step one machine of a run up to its row's end or its first due\n"
+"preventive action; see pure.run_machine for the contract.  A list\n"
+"record receives (row index, start, p, d, q, ups, eps, dv, du_m, du_p,\n"
+"w_before, w_after) of each stepped entry.\n\n"
 "Returns (i, stop, ectr, w, ready, last_start, maint_acc, n_pm, suspended,\n"
 "cyc_jobs, cyc_busy, lt, end, q_count, resets).");
 
@@ -573,8 +579,8 @@ FASTCALL_KW(run_machine)
         "row", "i", "mid", "job_keys", "ekey", "ectr", "det", "skip_idle",
         "cap", "w0", "t_cm", "zeta", "n_u", "w", "ready", "last_start",
         "maint_acc", "n_pm", "suspended", "cyc_jobs", "cyc_busy", "lt", "end",
-        "q_count"};
-    PyObject *arg[24], *row, *resets, *stop = NULL, *held = NULL;
+        "q_count", "record"};
+    PyObject *arg[25], *row, *record, *resets, *stop = NULL, *held = NULL;
     uint64_t ekey, ectr, jkey = 0, jctr;
     long long i, n_u, q_count;
     double cap, w0, t_cm, zeta, end, v[N_STEP_DOUBLES];
@@ -582,7 +588,7 @@ FASTCALL_KW(run_machine)
     struct machine m;
     struct step s;
 
-    if (bind("run_machine", names, 24, args, nargs, kwnames, arg)
+    if (bind("run_machine", names, 25, 24, args, nargs, kwnames, arg)
         || as_long(arg[1], &i) || as_key(arg[4], &ekey)
         || as_ctr(arg[5], &ectr) || (det = PyObject_IsTrue(arg[6])) < 0
         || (skip_idle = PyObject_IsTrue(arg[7])) < 0
@@ -597,9 +603,10 @@ FASTCALL_KW(run_machine)
         || as_long(arg[23], &q_count))
         return NULL;
     row = arg[0];
-    if (!PyList_Check(row) || i < 0) {
-        PyErr_SetString(PyExc_ValueError, "run_machine() needs a list row "
-                        "and a nonnegative i");
+    record = arg[24] == Py_None ? NULL : arg[24];
+    if (!PyList_Check(row) || i < 0 || (record && !PyList_Check(record))) {
+        PyErr_SetString(PyExc_ValueError, "run_machine() needs a list row, "
+                        "a nonnegative i and a list or None record");
         return NULL;
     }
     if (!(resets = PyList_New(0)))
@@ -646,6 +653,16 @@ FASTCALL_KW(run_machine)
             goto fail;
         jctr = 0;
         step(jkey, &jctr, ekey, &ectr, det, idle, v, &s);
+        if (record) {
+            PyObject *r = Py_BuildValue("(Ldddlddddddd)", i, t, s.p, s.d,
+                                        s.q, s.ups, s.eps, s.dv, s.du_m,
+                                        s.du_p, m.w, s.w3);
+            if (!r || PyList_Append(record, r)) {
+                Py_XDECREF(r);
+                goto fail;
+            }
+            Py_DECREF(r);
+        }
         if (!idle) {
             if (t + s.p > end)
                 end = t + s.p;

@@ -44,13 +44,13 @@ inline (the expressions of ``u01`` and ``mix64``).  Each draw has one
 scalar implementation, the same in and out of a scope; the batch reuses
 its float expressions (``_box_muller`` is ``_std_normal``'s transform).
 
-``run_machine`` steps one machine of a summary run in one call, and so
-repeats, in the same order, the expressions of ``job_step`` (the wear
-and time of the event, the quality outcome, the increments) and of
-``gamma`` (the Marsaglia-Tsang loop, the boost below shape 1, the table
-reads); the job draws it leaves to ``_job_draws`` and ``_std_normal``.
-The summary-vs-full parity tests of ``tests/test_simulate.py`` hold it to
-``job_step`` (a summary run against the full run's events), and
+``run_machine`` steps one machine of any run in one call, and so repeats,
+in the same order, the expressions of ``job_step`` (the wear and time of
+the event, the quality outcome, the increments) and of ``gamma`` (the
+Marsaglia-Tsang loop, the boost below shape 1, the table reads); the job
+draws it leaves to ``_job_draws`` and ``_std_normal``.  The parity tests
+of ``tests/test_simulate.py`` hold it to ``job_step`` (through the
+reference loop of ``tests/reference.py``), and
 ``tests/test_kernel_parity.py`` holds the compiled ``run_machine``,
 which calls the compiled step itself, to it bit for bit.
 """
@@ -433,10 +433,10 @@ def job_step(jkey, jctr, ekey, ectr, det, kind, w, dt, o,
 
 def run_machine(row, i, mid, job_keys, ekey, ectr, det, skip_idle, cap, w0,
                 t_cm, zeta, n_u, w, ready, last_start, maint_acc, n_pm,
-                suspended, cyc_jobs, cyc_busy, lt, end, q_count):
-    """Step machine mid of a summary run through row[i:], its state in
-    locals, up to the row's end or the first step at which a preventive
-    action is due.
+                suspended, cyc_jobs, cyc_busy, lt, end, q_count, record=None):
+    """Step machine mid of a run through row[i:], its state in locals,
+    up to the row's end or the first step at which a preventive action
+    is due.
 
     row holds the simulator's entries: each has release, job (None for
     an idle placeholder), eid, times[mid] (the nominal time o) and
@@ -458,11 +458,14 @@ def run_machine(row, i, mid, job_keys, ekey, ectr, det, skip_idle, cap, w0,
     suspended, cyc_jobs, cyc_busy, lt, end, q_count, resets): stop is
     the due step's start or None at the row's end, and resets lists
     (step start, repair start, wear before) of each reset in order.
+    When record is a list, each stepped entry appends (row index, start,
+    p, d, q, ups, eps, dv, du_m, du_p, w_before, w_after) to it, the
+    values as job_step returns them.
 
     The event is job_step's and the environment draw gamma's, expression
     for expression and in the same order; the shared-draw tables are
-    read as those functions read them.  The summary-vs-full parity
-    tests in tests/test_simulate.py pin this copy to job_step, and
+    read as those functions read them.  tests/test_simulate.py pins this
+    copy to job_step through its reference loop, and
     tests/test_kernel_parity.py pins the compiled twin to it.
     """
     normals, uniforms, jobs = _normals, _uniforms, _jobs
@@ -559,7 +562,7 @@ def run_machine(row, i, mid, job_keys, ekey, ectr, det, skip_idle, cap, w0,
 
         # job_step's outcome and increments
         if job is None:
-            du_m = 0.0
+            d, q, ups, eps, du_m = 0.0, -1, 0.0, 0.0, 0.0
             if not det:
                 jkey = job_keys[ent.eid]
                 if normals is None:
@@ -595,14 +598,17 @@ def run_machine(row, i, mid, job_keys, ekey, ectr, det, skip_idle, cap, w0,
                     du_m = 0.0
             if t + p > end:
                 end = t + p
-            if abs(d - sl) < xi:
-                q_count += 1
+            q = 1 if abs(d - sl) < xi else 0
+            q_count += q
             cyc_jobs += 1
             cyc_busy += p
         du_p = p * mu_p if det else p * mu_p + sig_p * z_p
         if du_p < 0.0:
             du_p = 0.0
-        w = (w1 + du_m) + du_p
+        w3 = (w1 + du_m) + du_p
+        if record is not None:
+            record.append((i, t, p, d, q, ups, eps, dv, du_m, du_p, w, w3))
+        w = w3
 
         last_start = t
         maint_acc = 0.0

@@ -34,6 +34,11 @@ class InvalidInstanceError(ValueError):
         super().__init__("invalid instance: " + "; ".join(errors))
         self.errors = errors
 
+    def __reduce__(self):
+        # rebuilt from the errors, not the message (a worker's error
+        # crosses to the parent pickled)
+        return type(self), (self.errors,)
+
 
 @dataclass
 class Job:

@@ -27,19 +27,20 @@ placeholders and hands rework triggers to a pluggable rescheduler;
 SUFFIX, internal to suffix projections, skips placeholders and never
 reworks.
 
-Summary-only runs (SimConfig.summary, used by planner labels; suffix
-projections always run so) track makespan, maintenance cost and the
-qualified count as they go and build no job or idle event records;
-their trace has empty job_events and idle_events but the full
-maintenance event list.  Draws and results match the full run exactly.
-A STATIC or SUFFIX summary run steps each machine on its own up to the
-first step at which a preventive action is due, in one kernel call
-(``_kernel.run_machine``, state in locals, corrective resets included);
-only at a due step can machines meet (grouping and screening), so those
-steps alone are taken in Python and in global order
-(``_Sim._advance_machines``).  ONLINE runs and full runs keep the one
-global loop (``_Sim._advance``), one ``job_step`` call per event: rework
-consumes completions in global time order.
+One kernel entry, ``_kernel.run_machine``, steps every event: it runs
+one machine from its next entry, corrective resets included, up to the
+first step at which a preventive action is due.  Machines meet only at
+such due steps (grouping and screening), so STATIC and SUFFIX runs step
+each machine on its own and take the due steps in Python, in global
+(start, machine id) order (``_Sim._advance_machines``).  ONLINE runs
+consume completions in global time order and step the frontier entry
+alone (``_Sim._advance_online``).
+
+Summary runs (SimConfig.summary: planner labels and suffix projections)
+build no job or idle events; their maintenance list and results match
+the full run's exactly.  A non-finite makespan or maintenance cost
+raises InvalidInstanceError: the instance's values are too large to
+score.
 
 A plan is prepared once into entity rows (``prepare``) that carry the
 kernel arguments fixed along a run.  No run mutates the rows or their
@@ -53,6 +54,7 @@ import heapq
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import attrgetter
 
 from . import _kernel
 from .encoding import Chromosome, SchedulePlan, decode
@@ -60,7 +62,7 @@ from .maintenance import (MachineState, MaintenanceEvent, cm_required,
                           corrective_maintenance, group_pms, imperfect_pm,
                           lifecycle_stats_defined, pm_due,
                           pm_suspension_check, pm_window)
-from .model import Job, ObjectivePair, ProblemInstance
+from .model import InvalidInstanceError, Job, ObjectivePair, ProblemInstance
 from .rng import NS_ENV, NS_JOB, NS_PILOT, NS_PROP2, NS_RESCHED, RngStream
 
 STATIC = "static"
@@ -356,14 +358,16 @@ class _Sim:
             out.append(count)
         return out[0] - out[1]
 
-    def _try_pm(self, mid: int, t: float, cands: Iterable[int]) -> bool:
+    def _try_pm(self, mid: int, t: float, cands: Iterable[int]) -> list[int]:
         """Screening and grouping of a due preventive action; cands are
-        the machines that may join it.  Returns True if any preventive
-        action was performed (frontiers moved)."""
+        the machines that may join it.  Returns the machines it screened
+        or maintained, mid first; mid is suspended when the screen
+        switched its action off, and then no action was performed."""
         g = self.inst.globals
         if self.cfg.prop2 and self._suspend_if_unprofitable(mid):
-            return False
+            return [mid]
         due = [(mid, t)]
+        changed = [mid]
         for mid2 in cands:
             row = self.queues[mid2]
             if mid2 == mid or self.ptr[mid2] >= len(row):
@@ -374,6 +378,7 @@ class _Sim:
             if not pm_due(st2, self.chrom.zeta, self.chrom.n_u,
                           self.machines[mid2]):
                 continue
+            changed.append(mid2)
             if self.cfg.prop2 and self._suspend_if_unprofitable(mid2):
                 continue
             due.append((mid2, st2.ready))
@@ -391,7 +396,7 @@ class _Sim:
                     w_before=w_before, w_after=ms.w, n_pm_after=ms.n_pm))
                 ms.ready = grp.start + grp.duration
                 ms.maint_acc += grp.duration
-        return True
+        return changed
 
     def _make_copies(self, at: float) -> list[_Ent]:
         out = []
@@ -438,180 +443,162 @@ class _Sim:
     # -- main loop -----------------------------------------------------
 
     def run(self) -> None:
-        if self.cfg.summary and self.cfg.mode != ONLINE:
+        if self.cfg.mode != ONLINE:
             self._advance_machines()
             return
         while True:
-            self._advance()
-            if self.pending_trigger is None and self.cfg.mode == ONLINE:
+            self._advance_online()
+            if self.pending_trigger is None:
                 self._drain(math.inf)
             if self.pending_trigger is None:
                 return
             self._do_reschedule(self.pending_trigger)
 
     def _advance_machines(self) -> None:
-        """The events of _advance, machine by machine.  Machines meet
+        """Step a STATIC or SUFFIX run machine by machine.  Machines meet
         only at a due preventive action, which may group or screen the
         others; every other step changes its own machine alone, draws
         are keyed by machine or entity, and the results are a max and
         sums.  So each machine runs on its own until its state makes a
-        preventive action due (_run_machine), and those due steps are
-        taken in the global (start, machine id) order of _advance."""
+        preventive action due (_run_machine), those due steps are taken
+        in global (start, machine id) order, and the machines a due step
+        changed run on from there."""
         stops: dict[int, tuple[float, int]] = {}
-        for mid in self.queues:
-            self._run_machine(mid, stops)
-        while stops:
+        todo = list(self.queues)
+        while True:
+            for m in todo:
+                stop = self._run_machine(m)
+                if stop is None:
+                    stops.pop(m, None)
+                else:
+                    stops[m] = (stop, m)
+            if not stops:
+                break
             t, mid = key = min(stops.values())
             del stops[mid]
             # a machine whose last step comes after the due one ran
             # past it, so at the due step it was not due itself
-            cands = [m for m in stops if (self.last[m], m) < key]
-            self._take_due(mid, t, cands)
-            # only the due machine and the candidates can have changed;
-            # the rest would stop where they stopped
-            for m in [mid, *cands]:
-                self._run_machine(m, stops)
-        # maintenance in the order of the steps that produced it, as
-        # _advance appends it: the cost is a float sum
+            todo = self._take_due(
+                mid, t, [m for m in stops if (self.last[m], m) < key])
+        # records in the global order of the steps that produced them:
+        # the maintenance cost is a float sum
+        by_step = attrgetter("start", "machine_id")
+        self.job_events.sort(key=by_step)
+        self.idle_events.sort(key=by_step)
         order = sorted(range(len(self.maint_keys)),
                        key=self.maint_keys.__getitem__)
         self.maint_events = [self.maint_events[k] for k in order]
 
-    def _run_machine(self, mid: int, stops: dict[int, tuple[float, int]]
-                     ) -> None:
-        """Step machine mid on its own as _advance would, in one kernel
-        call (run_machine).  It stops before the first step at which its
-        state makes a preventive action due, with work left, and enters
-        that step's (start, id) in stops; the repairs on the way are
-        logged at the steps that needed them."""
+    def _advance_online(self) -> None:
+        """Step an ONLINE run in global time order until every queue is
+        empty or a rework trigger is pending: at the frontier, consume
+        the completions up to its start, repair a worn-out machine
+        before a job, or else run its entry alone in the kernel, which
+        skips a placeholder and stops at a due preventive action."""
+        queues, ptr, states = self.queues, self.ptr, self.states
+        while True:
+            # frontier: earliest effective start, ties to the lowest id
+            fronts = [(max(states[m].ready, row[ptr[m]].release), m)
+                      for m, row in queues.items() if ptr[m] < len(row)]
+            if not fronts:
+                return
+            t, mid = min(fronts)
+            if self.heap and self.heap[0][0] <= t:
+                self._drain(t)
+                if self.pending_trigger is not None:
+                    return
+            st = states[mid]
+            if (queues[mid][ptr[mid]].job is not None
+                    and st.w > self.machines[mid].cap):
+                self._apply_cm(mid, st.ready)
+            elif self._run_machine(mid, one=True) is not None:
+                self._take_due(mid, t, queues)
+
+    def _run_machine(self, mid: int, one: bool = False) -> float | None:
+        """Step machine mid on its own from its next entry (or that entry
+        alone) in one kernel call, run_machine, up to its row's end or
+        the first step at which a preventive action is due, whose start
+        it returns (None at the end).  Repairs are logged at the steps
+        that needed them, steps as events unless the run is a summary
+        run, and an ONLINE run's completions go on the quality heap."""
         st = self.states[mid]
         mp = self.machines[mid]
         erng = self.env[mid]
-        (self.ptr[mid], stop, erng.ctr, st.w, st.ready, st.last_start,
+        row, i = self.queues[mid], self.ptr[mid]
+        if one:
+            row, i = row[i:i + 1], 0
+        events, online = not self.cfg.summary, self.cfg.mode == ONLINE
+        record = [] if events or online else None
+        (j, stop, erng.ctr, st.w, st.ready, st.last_start,
          st.maint_acc, st.n_pm, st.suspended, st.cyc_jobs, st.cyc_busy,
          self.last[mid], self.end, self.q_count, resets) = _kernel.run_machine(
-            self.queues[mid], self.ptr[mid], mid, self.job_keys, erng.key,
-            erng.ctr, self.det, self.cfg.mode != STATIC, mp.cap, mp.w0,
-            mp.t_cm, self.chrom.zeta, self.chrom.n_u, st.w, st.ready,
-            st.last_start, st.maint_acc, st.n_pm, st.suspended, st.cyc_jobs,
-            st.cyc_busy, self.last[mid], self.end, self.q_count)
-        if stop is None:
-            stops.pop(mid, None)
-        else:
-            stops[mid] = (stop, mid)
+            row, i, mid, self.job_keys, erng.key, erng.ctr, self.det,
+            self.cfg.mode != STATIC, mp.cap, mp.w0, mp.t_cm, self.chrom.zeta,
+            self.chrom.n_u, st.w, st.ready, st.last_start, st.maint_acc,
+            st.n_pm, st.suspended, st.cyc_jobs, st.cyc_busy, self.last[mid],
+            self.end, self.q_count, record)
+        self.ptr[mid] += j - i
+        for k, t, p, d, q, ups, eps, dv, du_m, du_p, w, w_after in record or ():
+            ent = row[k]
+            job = ent.job
+            if job is None:
+                if events:
+                    self.idle_events.append(IdleEvent(
+                        ent.eid, ent.slot, ent.type, mid, t, p, dv, du_p, w,
+                        w_after))
+                continue
+            if events:
+                self.job_events.append(JobEvent(
+                    ent.eid, job.id, job.origin, job.type, mid, ent.slot, t,
+                    p, d, bool(q), ups, eps, du_m, du_p, dv, w, w_after))
+            if online:
+                heapq.heappush(self.heap, (t + p, self.seq, mid, ent, q))
+                self.seq += 1
         if resets:
             st.cyc_cost = 0.0
             for t, at, w_before in resets:
                 self._log_cm(mid, at, w_before)
                 self.maint_keys.append((t, mid))
+        return stop
 
-    def _take_due(self, mid: int, t: float, cands: list[int]) -> None:
-        """The due step of machine mid's stop at start t, as _advance
-        takes it: a skipped idle placeholder, a repair, or the preventive
-        action that the machines cands may join.  A suspended action
-        leaves the step to _run_machine."""
+    def _take_due(self, mid: int, t: float, cands: Iterable[int]) -> list[int]:
+        """The due step of machine mid's stop at start t: a skipped idle
+        placeholder, a repair, or the preventive action that the
+        machines cands may join.  Returns the machines it changed; a
+        screened-off action leaves the step to _run_machine."""
         st = self.states[mid]
+        changed = [mid]
         if self.queues[mid][self.ptr[mid]].job is None \
                 and self.cfg.mode != STATIC:
             self.ptr[mid] += 1
         elif st.w > self.machines[mid].cap:
             self._apply_cm(mid, st.ready)
-        elif not self._try_pm(mid, t, cands):
-            return
+        else:
+            changed = self._try_pm(mid, t, cands)
+            if st.suspended:
+                return changed
         self.maint_keys.extend(
             [(t, mid)] * (len(self.maint_events) - len(self.maint_keys)))
         self.last[mid] = t
+        return changed
 
-    def _advance(self) -> None:
-        """Process events in global time order until every queue is
-        empty or a rework trigger is pending (ONLINE and full runs;
-        _advance_machines takes the rest)."""
-        job_step = _kernel.job_step
-        queues, ptr, states = self.queues, self.ptr, self.states
-        det, env, job_keys = self.det, self.env, self.job_keys
-        zeta, n_u = self.chrom.zeta, self.chrom.n_u
-        caps = {m.id: m.cap for m in self.inst.machines}
-        skip_idle, summary = self.cfg.mode != STATIC, self.cfg.summary
-        heap = self.heap if self.cfg.mode == ONLINE else None
-        while True:
-            # frontier: earliest effective start, ties to the lowest id
-            mid = -1
-            t = 0.0
-            for m, row in queues.items():
-                i = ptr[m]
-                if i < len(row):
-                    tm = states[m].ready
-                    rel = row[i].release
-                    if rel > tm:
-                        tm = rel
-                    if mid < 0 or tm < t or (tm == t and m < mid):
-                        mid, t, ent = m, tm, row[i]
-            if mid < 0:
-                return
-            if heap and heap[0][0] <= t:
-                self._drain(t)
-                if self.pending_trigger is not None:
-                    return
-            job = ent.job
-            if job is None and skip_idle:
-                ptr[mid] += 1
-                continue
-            st = states[mid]
-            cap = caps[mid]
-            # maintenance.cm_required and maintenance.pm_due, inlined
-            if st.w > cap:
-                self._apply_cm(mid, st.ready)
-                continue
-            if (not st.suspended and st.w / cap >= zeta and st.n_pm < n_u
-                    and self._try_pm(mid, t, queues)):
-                continue
-            dt = (t - st.last_start) - st.maint_acc
-            if dt < 0.0:
-                dt = 0.0
-            erng = env[mid]
-            w = st.w
-            (p, d, q, ups, eps, dv, du_m, du_p, w_after, _, erng.ctr) = job_step(
-                0 if det else job_keys[ent.eid], 0, erng.key, erng.ctr, det,
-                1 if job is None else 0, w, dt, ent.times[mid],
-                *ent.args[mid])
-            if job is None:
-                if not summary:
-                    self.idle_events.append(IdleEvent(
-                        ent.eid, ent.slot, ent.type, mid, t, p, dv, du_p,
-                        w, w_after))
-            else:
-                if not summary:
-                    self.job_events.append(JobEvent(
-                        ent.eid, job.id, job.origin, job.type, mid, ent.slot,
-                        t, p, d, bool(q), ups, eps, du_m, du_p, dv, w, w_after))
-                if t + p > self.end:
-                    self.end = t + p
-                self.q_count += q
-                st.cyc_jobs += 1
-                st.cyc_busy += p
-                if heap is not None:
-                    heapq.heappush(heap, (t + p, self.seq, mid, ent, q))
-                    self.seq += 1
-            st.last_start = t
-            st.maint_acc = 0.0
-            st.w = w_after
-            st.ready = t + p
-            ptr[mid] += 1
-            # a crossing is repaired at the completion that caused it,
-            # even when the machine has nothing left to do
-            if w_after > cap:
-                self._apply_cm(mid, st.ready)
-
-    def span_end(self, default: float) -> float:
-        """Latest job completion, or default when no job ran."""
-        return self.end if self.end != -math.inf else default
+    def objectives(self, default: float) -> tuple[float, float]:
+        """Latest job completion (default when no job ran) and the
+        maintenance cost; InvalidInstanceError when one is not finite."""
+        span = self.end if self.end != -math.inf else default
+        cost = sum(ev.cost for ev in self.maint_events)
+        for name, x in (("makespan", span), ("maintenance cost", cost)):
+            if not math.isfinite(x):
+                raise InvalidInstanceError([
+                    f"a run's {name} is {x!r}: values too large to score"])
+        return span, cost
 
     def trace(self) -> ScheduleTrace:
-        cost = sum(ev.cost for ev in self.maint_events)
+        span, cost = self.objectives(0.0)
         return ScheduleTrace(self.cfg.mode, bool(self.det), self.job_events,
                              self.idle_events, self.maint_events,
-                             self.resched_points, self.states,
-                             self.span_end(0.0), cost, self.q_count)
+                             self.resched_points, self.states, span, cost,
+                             self.q_count)
 
 
 def fill_idle_slots(ctx: RescheduleContext) -> dict[int, list[_Ent]]:
@@ -673,7 +660,7 @@ def simulate_suffix(ctx: RescheduleContext, queues: dict[int, list[_Ent]],
                     eval_rng: RngStream) -> tuple[float, float, int]:
     """Project the rest of the horizon under a candidate suffix plan.
 
-    Runs the same event loop in SUFFIX mode from the snapshot states,
+    Runs the same machine steps in SUFFIX mode from the snapshot states,
     on the candidate-evaluation stream family so that all candidates of
     one trigger share draws entity for entity.  A SUFFIX run never
     reschedules, so it only reads the queues.
@@ -685,8 +672,8 @@ def simulate_suffix(ctx: RescheduleContext, queues: dict[int, list[_Ent]],
                SimConfig(mode=SUFFIX, det=ctx.det, prop2=ctx.prop2,
                          summary=True))
     sim.run()
-    cost = sum(ev.cost for ev in sim.maint_events)
-    return sim.span_end(ctx.trigger_time) - ctx.trigger_time, cost, sim.q_count
+    span, cost = sim.objectives(ctx.trigger_time)
+    return span - ctx.trigger_time, cost, sim.q_count
 
 
 def idle_space_count(inst: ProblemInstance, rng: RngStream) -> dict[int, int]:

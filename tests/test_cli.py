@@ -8,7 +8,7 @@ import pytest
 import reworkopt
 from reworkopt import harness
 from reworkopt.cli import _parse_seeds, build_parser, main
-from reworkopt.instances import toy_instance
+from reworkopt.instances import generate_instance, toy_instance
 from reworkopt.storage import (ARCHIVE_TAG, load_archive, load_instance,
                                load_manifest, load_report, save_instance)
 
@@ -228,3 +228,35 @@ def test_run_starts_no_more_workers_than_seeds(tmp_path, monkeypatch, capsys):
                  "--out", str(tmp_path / "one")]) == 0
     assert sizes == [2]
     assert capsys.readouterr().out.count("archive points") == 3
+
+
+def _huge_eta(inst):
+    inst.globals.eta = 1e300
+
+
+def _huge_costs(inst):
+    for m in inst.machines:
+        m.c_cm = m.c_pm = 1e308
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("spoil,objective", [
+    (_huge_eta, "makespan"), (_huge_costs, "maintenance cost")],
+    ids=["eta", "costs"])
+def test_an_unscorable_instance_is_a_one_line_error(tmp_path, capsys, spoil,
+                                                    objective, jobs):
+    """Values that pass validation but overflow an objective end the run
+    before any seed writes a file, also when the error comes back from
+    a worker process."""
+    inst = generate_instance(8, 0)
+    spoil(inst)
+    path = tmp_path / "inst.txt"
+    save_instance(inst, path)
+    out = tmp_path / "out"
+    assert main(["run", "--instance", str(path), "--pop-size", "4",
+                 "--max-iter", "2", "--rounds", "1", "--seeds", "0,1",
+                 "--jobs", jobs, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("reworkopt: invalid instance: a run's %s is inf: values "
+                   "too large to score\n" % objective)
+    assert not list(out.glob("seed-*"))

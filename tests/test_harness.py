@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 
@@ -89,8 +90,8 @@ def test_parallel_seeds_match_serial(tmp_path):
     parallel = _tiny_cfg(tmp_path / "parallel", jobs=2)
     run_experiment(parallel)
     for seed in (0, 1):
-        a = open(seed_dir(serial.outdir, seed) + "/archive.tsv", "rb").read()
-        b = open(seed_dir(parallel.outdir, seed) + "/archive.tsv", "rb").read()
+        a = Path(seed_dir(serial.outdir, seed), "archive.tsv").read_bytes()
+        b = Path(seed_dir(parallel.outdir, seed), "archive.tsv").read_bytes()
         assert a == b
 
 

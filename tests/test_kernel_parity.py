@@ -165,17 +165,30 @@ def _machine_case(r):
         maint_acc=r.choice([0.0, r.uniform(0.0, 3.0)]), n_pm=r.randrange(3),
         suspended=r.random() < 0.2, cyc_jobs=r.randrange(5),
         cyc_busy=r.uniform(0.0, 10.0), lt=last_start,
-        end=r.choice([-math.inf, r.uniform(0.0, 20.0)]), q_count=r.randrange(5))
+        end=r.choice([-math.inf, r.uniform(0.0, 20.0)]), q_count=r.randrange(5),
+        record=r.random() < 0.7)
+
+
+def _run_machine(kernel, case):
+    """kernel's run_machine on case and the steps it recorded: into a
+    fresh list when case records, else with record left to its
+    default."""
+    kw = dict(case)
+    record = [] if kw.pop("record") else None
+    if record is not None:
+        kw["record"] = record
+    return kernel.run_machine(**kw), record
 
 
 def _assert_run_machine_equal(core, case, scope):
     """Pure run_machine, on a first call and, inside a shared_draws()
-    scope, on a repeat that reads the tables, equals the compiled one."""
-    want = repr(core.run_machine(**case))
+    scope, on a repeat that reads the tables, equals the compiled one,
+    the steps it records included."""
+    want = repr(_run_machine(core, case))
     with pure.shared_draws() if scope else contextlib.nullcontext():
         for _ in range(1 + scope):
-            assert repr(pure.run_machine(**case)) == want
-    return core.run_machine(**case)
+            assert repr(_run_machine(pure, case)) == want
+    return _run_machine(core, case)
 
 
 @settings(max_examples=300, deadline=None)
@@ -190,9 +203,14 @@ def test_the_run_machine_cases_reach_every_branch(built_core):
     r = random.Random(11)
     for k in range(300):
         case = _machine_case(r)
-        i, stop, *_, lt, end, q_count, resets = _assert_run_machine_equal(
+        (i, stop, *_, resets), record = _assert_run_machine_equal(
             built_core, case, k % 2)
         taken = case["row"][case["i"]:i]
+        if record:
+            seen.add("recorded")
+            # a step's record starts from the wear the step before left
+            assert all(b[10] == a[11] for a, b in zip(record, record[1:])
+                       if a[11] <= case["cap"])
         seen |= {("det" if case["det"] else "random",
                   "scope" if k % 2 else "no scope")}
         seen.add("due stop" if stop is not None else "row end")
@@ -205,7 +223,7 @@ def test_the_run_machine_cases_reach_every_branch(built_core):
     assert seen >= {("det", "scope"), ("det", "no scope"),
                     ("random", "scope"), ("random", "no scope"),
                     "due stop", "row end", "reset before", "reset after",
-                    "idle skipped", "idle stepped", "released"}
+                    "idle skipped", "idle stepped", "released", "recorded"}
 
 
 def _draw_calls():
@@ -255,7 +273,7 @@ from reworkopt import _kernel
 from reworkopt.encoding import GeneBounds, decode, random_chromosome
 from reworkopt.improver import make_rescheduler
 from reworkopt.instances import generate_instance, toy_instance
-from reworkopt.planner import PlannerConfig, label_static_obj
+from reworkopt.planner import PlannerConfig, det_preview, label_static_obj
 from reworkopt.rng import RngStream, shared_draws
 from reworkopt.simulate import (ONLINE, SimConfig, append_copies,
                                 fill_idle_slots, simulate, simulate_suffix)
@@ -271,6 +289,10 @@ for ev in tr.job_events:
                    ev.d, ev.qualified, ev.w_after)).encode())
 for ev in tr.maint_events:
     h.update(repr((ev.kind, ev.machine_id, ev.time, ev.cost)).encode())
+# a full STATIC run: the deterministic preview, placeholders stepped
+_, pre = det_preview(inst, chrom, rng, PlannerConfig())
+for ev in pre.job_events + pre.idle_events + pre.maint_events:
+    h.update(repr(ev).encode())
 
 # summary runs: labels, random and deterministic, and the suffix
 # projections of every trigger of an online run

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from reworkopt.encoding import Chromosome, decode
@@ -168,6 +170,13 @@ def test_require_valid_names_every_violation():
         "job 0: nonpositive nominal time on machine 0",
         "idle type 0: nonpositive nominal time on machine 0",
         "machine 0: initial wear 0.9 outside [0, cap)"]
+
+
+def test_invalid_instance_error_survives_pickling():
+    # a worker process's error reaches the parent pickled
+    err = pickle.loads(pickle.dumps(InvalidInstanceError(["x", "y"])))
+    assert err.errors == ["x", "y"]
+    assert str(err) == "invalid instance: x; y"
 
 
 def test_decode_rejects_incapable_assignment():

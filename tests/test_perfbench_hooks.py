@@ -42,7 +42,6 @@ def test_the_benchmark_tracer_records_planner_and_improver_spans():
     try:
         plan(inst, 2, master, PlannerConfig(pop_size=4, label_reps=2),
              idle_types)
-        planned = tracer.stats.get("kernel.job_step", [0])[0]
         tr = simulate(inst, decode(chrom, inst),
                       master.substream(NS_ONLINE, 0, 0),
                       SimConfig(mode=ONLINE, rescheduler=make_rescheduler(2)))
@@ -51,5 +50,3 @@ def test_the_benchmark_tracer_records_planner_and_improver_spans():
     assert tr.resched_points
     for span in ("planner.label", "planner.step", "improver.reschedule"):
         assert tracer.stats.get(span, [0])[0] > 0, span
-    # summary runs step in run_machine; the ONLINE run still calls job_step
-    assert tracer.stats["kernel.job_step"][0] > planned

@@ -3,8 +3,11 @@ import hashlib
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import ReferenceSim, reference_simulate
 
+from reworkopt import _kernel
 from reworkopt.encoding import Chromosome, decode, random_chromosome
+from reworkopt.improver import make_rescheduler
 from reworkopt.instances import generate_instance, toy_instance
 from reworkopt.model import (GlobalParams, Job, MachineParams, ObjectivePair,
                              ProblemInstance, QualitySpec)
@@ -289,25 +292,33 @@ def test_execution_fitness_golden():
     assert fitness_eval(_trace(0.0, 1.0, 0), 1.0) == 0.0
 
 
-def _suffix_sim(ctx, queues, summary):
+def _suffix_sim(ctx, queues, summary, sim_cls=_Sim):
     """A SUFFIX run of queues from a trigger's snapshot, with or without
     per-event records."""
-    sim = _Sim(ctx.inst, queues, {mid: s.copy() for mid, s in ctx.states.items()},
-               ctx.chrom, ctx.rng, SimConfig(mode=SUFFIX, det=ctx.det,
-                                             prop2=ctx.prop2, summary=summary))
+    sim = sim_cls(ctx.inst, queues,
+                  {mid: s.copy() for mid, s in ctx.states.items()}, ctx.chrom,
+                  ctx.rng, SimConfig(mode=SUFFIX, det=ctx.det, prop2=ctx.prop2,
+                                     summary=summary))
     sim.run()
     return sim
 
 
+def _fill(ctx):
+    return fill_idle_slots(ctx), None
+
+
 def _assert_summary_runs_match(inst, ch, seed, det, prop2):
-    """A summary run steps each machine on its own; the full run steps
-    every event in global time order.  Both must agree on every result,
-    the maintenance list and the final machine states, for the plan
-    itself and for suffix projections from every trigger of an online
-    run of it."""
+    """Every run must equal the reference loop's, which steps every
+    event in global time order: the full run event for event, and a
+    summary run, which builds no events, on every result, the
+    maintenance list and the final machine states.  So must the online
+    run of the plan, and full and summary suffix projections from every
+    trigger of it."""
     plan = decode(ch, inst)
     root = RngStream.from_seed(seed)
     full = simulate(inst, plan, root, SimConfig(det=det, prop2=prop2))
+    assert full == reference_simulate(inst, plan, root,
+                                      SimConfig(det=det, prop2=prop2))
     lean = simulate(inst, plan, root,
                     SimConfig(det=det, prop2=prop2, summary=True))
     assert (lean.makespan, lean.maint_cost, lean.q_count) == \
@@ -319,19 +330,24 @@ def _assert_summary_runs_match(inst, ch, seed, det, prop2):
 
     def hook(ctx):
         ctxs.append(ctx)
-        return fill_idle_slots(ctx), None
+        return _fill(ctx)
 
-    simulate(inst, plan, root.substream(1),
-             SimConfig(mode=ONLINE, det=det, prop2=prop2, rescheduler=hook))
+    online = SimConfig(mode=ONLINE, det=det, prop2=prop2, rescheduler=hook)
+    assert simulate(inst, plan, root.substream(1), online) == \
+        reference_simulate(inst, plan, root.substream(1),
+                           SimConfig(mode=ONLINE, det=det, prop2=prop2,
+                                     rescheduler=_fill))
     for ctx in ctxs:
         for queues in (fill_idle_slots(ctx), append_copies(ctx)):
+            ref = _suffix_sim(ctx, queues, False, ReferenceSim)
             full = _suffix_sim(ctx, queues, False)
             lean = _suffix_sim(ctx, queues, True)
-            assert lean.maint_events == full.maint_events
-            assert lean.states == full.states
+            assert full.trace() == ref.trace()
+            assert lean.maint_events == ref.maint_events
+            assert lean.states == ref.states
+            span, cost = ref.objectives(ctx.trigger_time)
             assert simulate_suffix(ctx, queues, ctx.rng) == (
-                full.span_end(ctx.trigger_time) - ctx.trigger_time,
-                sum(ev.cost for ev in full.maint_events), full.q_count)
+                span - ctx.trigger_time, cost, ref.q_count)
 
 
 def _generated(n_jobs, inst_seed, seed, idle, zeta, n_u, psi, thr_r):
@@ -365,6 +381,124 @@ def test_summary_runs_of_generated_instances_match_the_full_trace(
         n_jobs, inst_seed, seed, idle, zeta, n_u, psi, thr_r, det, prop2):
     inst, ch = _generated(n_jobs, inst_seed, seed, idle, zeta, n_u, psi, thr_r)
     _assert_summary_runs_match(inst, ch, seed + 1, det, prop2)
+
+
+def _assert_online_run_matches(inst, ch, seed, det, prop2, improve):
+    """An ONLINE run, one kernel call per event, equals the reference
+    loop's: job, idle and maintenance events, reschedule points, final
+    states and the qualified count.  Returns the trace."""
+    cfg = SimConfig(mode=ONLINE, det=det, prop2=prop2,
+                    rescheduler=make_rescheduler(2) if improve else _fill)
+    root = RngStream.from_seed(seed)
+    got = simulate(inst, decode(ch, inst), root, cfg)
+    assert got == reference_simulate(inst, decode(ch, inst), root, cfg)
+    return got
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 36), st.integers(0, 30), st.integers(0, 10_000),
+       st.booleans(), st.floats(0.05, 0.95), st.integers(0, 4),
+       st.floats(0.0, 2.0), st.floats(0.02, 0.6), st.booleans(),
+       st.booleans(), st.booleans())
+def test_online_runs_match_the_reference_loop(
+        n_jobs, inst_seed, seed, idle, zeta, n_u, psi, thr_r, det, prop2,
+        improve):
+    inst, ch = _generated(n_jobs, inst_seed, seed, idle, zeta, n_u, psi, thr_r)
+    _assert_online_run_matches(inst, ch, seed + 1, det, prop2, improve)
+
+
+def test_the_online_corpus_reaches_every_step_kind():
+    """The cases above trigger rework under both placements, repair,
+    group and screen, and skip unfilled placeholders."""
+    seen = set()
+    r = RngStream.from_seed(77)
+    for k in range(40):
+        inst, ch = _generated(
+            4 + r.randrange(33), k, k, True, 0.05 + 0.9 * r.uniform(),
+            r.randrange(5), 2.0 * r.uniform(), 0.02 + 0.6 * r.uniform())
+        improve = k % 2 == 1
+        tr = _assert_online_run_matches(inst, ch, k + 1, k % 3 == 0,
+                                        k % 4 != 0, improve)
+        if tr.resched_points:
+            seen.add("improver" if improve else "fill")
+        seen |= {ev.kind for ev in tr.maint_events}
+        gids = [ev.group for ev in tr.maint_events if ev.kind == "pm"]
+        if len(set(gids)) < len(gids):
+            seen.add("group")
+        if any(st.suspended for st in tr.final_states.values()):
+            seen.add("screened")
+        # more placeholders than copies: some stayed unfilled
+        if sum(p.n_copies for p in tr.resched_points) < len(ch.idle_types):
+            seen.add("skipped")
+    assert seen >= {"improver", "fill", "cm", "pm", "group", "screened",
+                    "skipped"}
+
+
+def test_an_online_repair_lets_earlier_starts_go_first():
+    """Machine 0's second preventive action in a row (theta = 1) leaves
+    it past its threshold with no action left (n_u = 2), so it is
+    repaired from 4 to 8 before its last job.  Machine 1's jobs at 5, 6
+    and 7 start first: the ONLINE run repairs before it steps, as the
+    reference loop does."""
+    jobs = [Job(i, 0, {0: 1.0}) for i in range(3)] + [Job(3, 0, {1: 5.0})] + [
+        Job(i, 0, {1: 1.0}) for i in range(4, 7)]
+    m = dict(w0=0.1, cap=1.0, t_pm=0.5, t_ps=0.5)
+    inst = ProblemInstance(jobs, [_flat(id=0, mu_plus=0.1, **m),
+                                  _flat(id=1, **m)],
+                           {0: _GOOD}, GlobalParams(0.0, 1.0, 0.8, 0.0))
+    ch = _chrom([0] * 3 + [1] * 4, [0.1, 0.2, 0.3, 0.1, 0.2, 0.3, 0.4],
+                zeta=0.29, psi=0.0, n_u=2, thr_r=1.5)
+    tr = _run(inst, ch, mode=ONLINE, prop2=False)
+    assert [(ev.kind, ev.time) for ev in tr.maint_events] == [
+        ("pm", 2.0), ("pm", 3.0), ("cm", 4.0)]
+    assert [(ev.machine_id, ev.start) for ev in tr.job_events] == [
+        (0, 0.0), (1, 0.0), (0, 1.0), (1, 5.0), (1, 6.0), (1, 7.0),
+        (0, 8.0)]
+    assert tr == reference_simulate(inst, decode(ch, inst),
+                                    RngStream.from_seed(0),
+                                    SimConfig(mode=ONLINE, prop2=False))
+
+
+def _untouched_candidate_case():
+    """Machine 0 falls due at t = 2, while machine 1 is in its long
+    second job (1 to 5): machine 1 is a grouping candidate there, but
+    falls due only at 5, past the merge window, so machine 0's action
+    leaves it as it was."""
+    jobs = [Job(i, 0, {0: 1.0}) for i in range(4)] + [
+        Job(4, 0, {1: 1.0}), Job(5, 0, {1: 4.0}), Job(6, 0, {1: 1.0})]
+    m = dict(w0=0.1, cap=1.0, mu_plus=0.1)
+    inst = _inst(jobs, [_flat(id=0, **m), _flat(id=1, **m)])
+    ch = _chrom([0] * 4 + [1] * 3, [0.1, 0.2, 0.3, 0.4, 0.1, 0.2, 0.3],
+                zeta=0.29, psi=0.5, n_u=1)
+    return inst, ch
+
+
+def test_a_due_step_reruns_only_the_machines_it_changed(monkeypatch):
+    inst, ch = _untouched_candidate_case()
+    runs, dues = [], []
+    run_machine, take_due = _kernel.run_machine, _Sim._take_due
+
+    def spied_run_machine(*args):
+        runs.append(args[2])
+        return run_machine(*args)
+
+    def spied_take_due(self, mid, t, cands):
+        dues.append((mid, t, list(cands)))
+        return take_due(self, mid, t, cands)
+
+    monkeypatch.setattr(_kernel, "run_machine", spied_run_machine)
+    monkeypatch.setattr(_Sim, "_take_due", spied_take_due)
+    tr = _run(inst, ch, det=True, prop2=False)
+    monkeypatch.undo()
+    assert dues == [(0, 2.0, [1]), (1, 5.0, [])]
+    # each machine runs from the start and on from its own due step;
+    # machine 0's action does not run the candidate again
+    assert runs == [0, 1, 0, 1]
+    assert [(ev.kind, ev.machine_id, ev.time) for ev in tr.maint_events] == [
+        ("pm", 0, 2.0), ("pm", 1, 5.0)]
+    assert tr == reference_simulate(inst, decode(ch, inst),
+                                    RngStream.from_seed(0),
+                                    SimConfig(det=True, prop2=False))
 
 
 def _screened_candidate_case():
