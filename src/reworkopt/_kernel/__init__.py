@@ -12,11 +12,10 @@ callers open it through ``rng.shared_draws()``, which also shares job
 keys.  Inside it, ``prefetch(jobs, envs)`` draws a fresh root's first
 job and environment draws at once, in lanes of one integer (the
 simulator calls it once per root).  The compiled kernel has no memo,
-so there both are no-ops.  The kernel API is the eight functions of
-``_core`` plus these two: the draws ``mix64``, ``u01``, ``normal``,
-``clamped_normal``, ``gamma`` and ``truncated_normal``, the event step
-``job_step``, and ``run_machine``, which steps one machine of a run in
-one call and records each step in a ``record`` list (see ``pure``).
+so there both are no-ops.  The kernel API is the four functions of
+``_core`` plus these two: the draws ``mix64`` and ``u01``, the event
+step ``job_step``, and ``run_machine``, which steps one machine of a run
+in one call and records each step in a ``record`` list (see ``pure``).
 """
 
 import contextlib
@@ -38,23 +37,8 @@ if not os.environ.get("REWORKOPT_PURE"):
 
 mix64 = _impl.mix64
 u01 = _impl.u01
-normal = _impl.normal
-clamped_normal = _impl.clamped_normal
-gamma = _impl.gamma
-truncated_normal = _impl.truncated_normal
 job_step = _impl.job_step
 run_machine = _impl.run_machine
 shared_draws = getattr(_impl, "shared_draws", contextlib.nullcontext)
 prefetch = getattr(_impl, "prefetch", lambda jobs, envs: None)
 
-
-def backends():
-    """Return {name: module} for every importable backend."""
-    out = {"pure": pure}
-    try:
-        from . import _core  # type: ignore[attr-defined]
-
-        out["compiled"] = _core
-    except ImportError:
-        pass
-    return out

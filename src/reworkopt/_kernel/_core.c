@@ -7,10 +7,12 @@
    then run tests/test_kernel_parity.py and tests/test_kernel_digest.py:
    they build this file themselves.
 
-   The functions take the same arguments, positional or by keyword, and
-   return the same tuples as pure.py's.  Keys are taken modulo 2**64, as
-   pure.py's masks take them; counters must be nonnegative and fit in 64
-   bits.  Hashing in machine words is cheap, so there is no
+   The module's four functions, mix64, u01, job_step and run_machine,
+   take the same arguments, positional or by keyword, and return the
+   same values as pure.py's; the normal, gamma and truncated normal
+   draws are static helpers of step() here.  Keys are taken modulo
+   2**64, as pure.py's masks take them; counters must be nonnegative
+   and fit in 64 bits.  Hashing in machine words is cheap, so there is no
    shared_draws() memo here.  run_machine steps a row with the same step()
    as job_step, so the event's arithmetic has one copy here. */
 
@@ -54,13 +56,6 @@ draw_normal(uint64_t key, uint64_t *ctr, double mu, double sigma)
     double z = std_normal(key, *ctr);
     *ctr += 2;
     return mu + sigma * z;
-}
-
-static inline double
-draw_clamped_normal(uint64_t key, uint64_t *ctr, double mu, double sigma)
-{
-    double x = draw_normal(key, ctr, mu, sigma);
-    return x < 0.0 ? 0.0 : x;
 }
 
 static double
@@ -176,24 +171,6 @@ as_double(PyObject *o, double *out)
     return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
 }
 
-/* Bind fname's arguments: a key, a counter, then n - 2 <= 4 doubles. */
-static int
-key_ctr_doubles(const char *fname, const char *const *names, Py_ssize_t n,
-                PyObject *const *args, Py_ssize_t nargs, PyObject *kwnames,
-                uint64_t *key, uint64_t *ctr, double *x)
-{
-    PyObject *a[6];
-    Py_ssize_t i;
-
-    if (bind(fname, names, n, n, args, nargs, kwnames, a) || as_key(a[0], key)
-        || as_ctr(a[1], ctr))
-        return -1;
-    for (i = 2; i < n; i++)
-        if (as_double(a[i], &x[i - 2]))
-            return -1;
-    return 0;
-}
-
 /* The tuple of the n new references in items; NULL, with every item
    released, when one of them or the tuple could not be made. */
 static PyObject *
@@ -214,17 +191,6 @@ fail:
     for (i = 0; i < n; i++)
         Py_XDECREF(items[i]);
     return NULL;
-}
-
-/* (x, ctr).  Callers make the draw before the call: C evaluates
-   arguments in no fixed order, so ctr may be read before a draw in the
-   argument list advances it. */
-static PyObject *
-value_ctr(double x, uint64_t ctr)
-{
-    PyObject *items[2] = {PyFloat_FromDouble(x),
-                          PyLong_FromUnsignedLongLong(ctr)};
-    return pack(items, 2);
 }
 
 /* ---- module functions ------------------------------------------------- */
@@ -261,74 +227,6 @@ FASTCALL_KW(u01)
         || as_ctr(a[1], &ctr))
         return NULL;
     return PyFloat_FromDouble(u01(key, ctr));
-}
-
-PyDoc_STRVAR(normal_doc, "normal($module, key, ctr, mu, sigma)\n--\n\n"
-"Gaussian draw via Box-Muller (cosine branch only, 2 ticks).\n\n"
-"Returns (value, new_ctr).");
-
-FASTCALL_KW(normal)
-{
-    static const char *const names[] = {"key", "ctr", "mu", "sigma"};
-    uint64_t key, ctr;
-    double x[2], value;
-
-    if (key_ctr_doubles("normal", names, 4, args, nargs, kwnames,
-                        &key, &ctr, x))
-        return NULL;
-    value = draw_normal(key, &ctr, x[0], x[1]);
-    return value_ctr(value, ctr);
-}
-
-PyDoc_STRVAR(clamped_normal_doc,
-"clamped_normal($module, key, ctr, mu, sigma)\n--\n\n"
-"Gaussian draw truncated below at zero.  Returns (value, new_ctr).");
-
-FASTCALL_KW(clamped_normal)
-{
-    static const char *const names[] = {"key", "ctr", "mu", "sigma"};
-    uint64_t key, ctr;
-    double x[2], value;
-
-    if (key_ctr_doubles("clamped_normal", names, 4, args, nargs, kwnames,
-                        &key, &ctr, x))
-        return NULL;
-    value = draw_clamped_normal(key, &ctr, x[0], x[1]);
-    return value_ctr(value, ctr);
-}
-
-PyDoc_STRVAR(gamma_doc, "gamma($module, key, ctr, shape, scale)\n--\n\n"
-"Gamma draw, Marsaglia-Tsang squeeze method.  Returns (value, new_ctr).");
-
-FASTCALL_KW(gamma)
-{
-    static const char *const names[] = {"key", "ctr", "shape", "scale"};
-    uint64_t key, ctr;
-    double x[2], value;
-
-    if (key_ctr_doubles("gamma", names, 4, args, nargs, kwnames,
-                        &key, &ctr, x))
-        return NULL;
-    value = draw_gamma(key, &ctr, x[0], x[1]);
-    return value_ctr(value, ctr);
-}
-
-PyDoc_STRVAR(truncated_normal_doc,
-"truncated_normal($module, key, ctr, mu, sigma, lo, hi)\n--\n\n"
-"Gaussian draw rejected outside [lo, hi].  Returns (value, new_ctr).");
-
-FASTCALL_KW(truncated_normal)
-{
-    static const char *const names[] = {"key", "ctr", "mu", "sigma", "lo",
-                                        "hi"};
-    uint64_t key, ctr;
-    double x[4], value;
-
-    if (key_ctr_doubles("truncated_normal", names, 6, args, nargs, kwnames,
-                        &key, &ctr, x))
-        return NULL;
-    value = draw_truncated_normal(key, &ctr, x[0], x[1], x[2], x[3]);
-    return value_ctr(value, ctr);
 }
 
 /* ---- the processing event ------------------------------------------- */
@@ -709,10 +607,6 @@ fail:
 static PyMethodDef methods[] = {
     FASTCALL_ENTRY(mix64),
     FASTCALL_ENTRY(u01),
-    FASTCALL_ENTRY(normal),
-    FASTCALL_ENTRY(clamped_normal),
-    FASTCALL_ENTRY(gamma),
-    FASTCALL_ENTRY(truncated_normal),
     FASTCALL_ENTRY(job_step),
     FASTCALL_ENTRY(run_machine),
     {NULL, NULL, 0, NULL}};

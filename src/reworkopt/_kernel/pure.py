@@ -4,6 +4,10 @@ This module is the reference implementation and the fallback; the
 hand-written C twin in ``_core.c`` mirrors its arithmetic expression by
 expression.  Every arithmetic expression here is a contract: evaluation
 order must not change, or the two backends stop being bit-identical.
+The kernel API is ``mix64``, ``u01``, ``job_step`` and ``run_machine``
+on both backends, plus ``shared_draws`` and ``prefetch`` here;
+``normal``, ``gamma`` and ``truncated_normal`` are the draws
+``job_step`` is built on, which the C twin keeps inside its step.
 
 RNG scheme: splitmix64-style hash of (key, counter).  Each uniform draw
 consumes one counter tick; derived draws consume a deterministic (data
@@ -266,15 +270,6 @@ def normal(key, ctr, mu, sigma):
     return mu + sigma * z, ctr + 2
 
 
-def clamped_normal(key, ctr, mu, sigma):
-    """Gaussian draw truncated below at zero (wear increments cannot be
-    negative)."""
-    x, ctr = normal(key, ctr, mu, sigma)
-    if x < 0.0:
-        x = 0.0
-    return x, ctr
-
-
 def gamma(key, ctr, shape, scale):
     """Gamma draw, Marsaglia-Tsang squeeze method.
 
@@ -392,7 +387,7 @@ def job_step(jkey, jctr, ekey, ectr, det, kind, w, dt, o,
     w1 = w + dv
     p = o * (1.0 + eta * w1)
 
-    # the increments are clamped_normal's mu + sigma * z, clamped at 0
+    # the increments are normal's mu + sigma * z, clamped at 0
     if kind:
         d, q, ups, eps, du_m = 0.0, -1, 0.0, 0.0, 0.0
         if not det:

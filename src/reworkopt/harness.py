@@ -139,12 +139,13 @@ def nondominated(points):
 
 def _padded_bounds(point_sets):
     # a degenerate axis (every archive has the same cost, say) would make
-    # normalization blow up; widen it by one unit instead
+    # normalization blow up; widen it by one unit instead, or by 2**-50
+    # of its value where one unit is lost in rounding (above 2**53)
     (lx, ly), (hx, hy) = bounds_of(*point_sets)
     if hx <= lx:
-        hx = lx + 1.0
+        hx = lx + max(1.0, abs(lx) * 2.0 ** -50)
     if hy <= ly:
-        hy = ly + 1.0
+        hy = ly + max(1.0, abs(ly) * 2.0 ** -50)
     return ((lx, ly), (hx, hy))
 
 

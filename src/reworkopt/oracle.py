@@ -65,20 +65,20 @@ def check_feasibility(inst: ProblemInstance, trace: ScheduleTrace) -> list[str]:
                             f"{ev.origin} finished")
 
     # per-machine timeline: chronological, non-overlapping, wear-continuous
-    per_machine: dict[int, list] = {m.id: [] for m in inst.machines}
+    per_machine: dict[int, list] = {m.id: ([], [], []) for m in inst.machines}
     for ev in trace.job_events:
-        per_machine[ev.machine_id].append(
+        per_machine[ev.machine_id][0].append(
             (ev.start, ev.completion, ev.w_before, ev.w_after, f"job {ev.job_id}"))
     for ev in trace.idle_events:
-        per_machine[ev.machine_id].append(
+        per_machine[ev.machine_id][1].append(
             (ev.start, ev.start + ev.duration, ev.w_before, ev.w_after,
              f"idle {ev.eid}"))
     for ev in trace.maint_events:
-        per_machine[ev.machine_id].append(
+        per_machine[ev.machine_id][2].append(
             (ev.time, ev.time + ev.duration, ev.w_before, ev.w_after,
              f"{ev.kind} on {ev.machine_id}"))
-    for mid, rows in per_machine.items():
-        rows.sort(key=lambda r: (r[0], r[1]))
+    for mid, lists in per_machine.items():
+        rows = _timeline(lists)
         for a, b in zip(rows, rows[1:]):
             if b[0] < a[1] - _TOL:
                 errs.append(f"machine {mid}: {b[4]} overlaps {a[4]}")
@@ -136,6 +136,22 @@ def check_feasibility(inst: ProblemInstance, trace: ScheduleTrace) -> list[str]:
     if trace.q_count != q:
         errs.append(f"qualified count {trace.q_count} != recomputed {q}")
     return errs
+
+
+def _timeline(lists):
+    """One machine's rows of each list merged in (start, end) order.  Rows
+    tied in both, as at times so large that durations are lost in
+    rounding, go in list order, except that a row whose wear before is
+    the wear the last row left goes first; each list keeps its own order
+    among its ties."""
+    stacks = [sorted(rows, key=lambda r: r[:2])[::-1] for rows in lists]
+    out, w = [], None
+    while any(stacks):
+        first = min(s[-1][:2] for s in stacks if s)
+        tied = [s for s in stacks if s and s[-1][:2] == first]
+        out.append(next((s for s in tied if s[-1][2] == w), tied[0]).pop())
+        w = out[-1][3]
+    return out
 
 
 # -- exhaustive enumeration -------------------------------------------

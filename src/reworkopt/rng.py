@@ -6,6 +6,10 @@ stream, derived from the run's root stream by a path of integer ids.
 Two runs that share a root key replay identical draws entity by entity,
 which is what makes paired candidate comparisons and replication
 extension stable: adding replication 7 never perturbs replications 0-6.
+
+A stream draws uniforms (``_kernel.u01``) and the integers built on
+them; the shop floor's normal and gamma draws are taken inside the
+kernel's ``job_step`` and ``run_machine`` from keys derived here.
 """
 
 from __future__ import annotations
@@ -106,22 +110,6 @@ class RngStream:
         u = _kernel.u01(self.key, self.ctr)
         self.ctr += 1
         return u
-
-    def normal(self, mu: float, sigma: float) -> float:
-        x, self.ctr = _kernel.normal(self.key, self.ctr, mu, sigma)
-        return x
-
-    def clamped_normal(self, mu: float, sigma: float) -> float:
-        x, self.ctr = _kernel.clamped_normal(self.key, self.ctr, mu, sigma)
-        return x
-
-    def gamma(self, shape: float, scale: float) -> float:
-        x, self.ctr = _kernel.gamma(self.key, self.ctr, shape, scale)
-        return x
-
-    def truncated_normal(self, mu: float, sigma: float, lo: float, hi: float) -> float:
-        x, self.ctr = _kernel.truncated_normal(self.key, self.ctr, mu, sigma, lo, hi)
-        return x
 
     # -- integer / sequence helpers -----------------------------------
 

@@ -1,16 +1,31 @@
 """Sampling primitives for the wear/quality process, one per draw.
 
-Thin typed wrappers over the kernel draws.  The event simulator uses the
-fused kernel step, ``job_step``; ``test_sampling`` checks that step
-against the composition of these wrappers, draw by draw.
+The draw-by-draw reference of ``test_sampling``: each primitive takes
+its draw from the pure kernel at its stream's key and counter, and
+moves the counter past it.  The simulator steps with the kernel's
+``run_machine``, whose event is ``job_step``'s; ``test_sampling`` checks
+``job_step`` against the composition of these primitives, draw by draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from reworkopt._kernel import pure
 from reworkopt.model import MachineParams, QualitySpec
 from reworkopt.rng import RngStream
+
+
+def draw(rng: RngStream, fn, *params) -> float:
+    """fn(key, ctr, *params), a pure kernel draw, at rng's key and
+    counter; the counter moves past the draw."""
+    x, rng.ctr = fn(rng.key, rng.ctr, *params)
+    return x
+
+
+def _clamped(x: float) -> float:
+    """x, or 0 where it is negative, as job_step clamps an increment."""
+    return 0.0 if x < 0.0 else x
 
 
 @dataclass(frozen=True)
@@ -28,7 +43,8 @@ class WearBreakdown:
 
 def sample_initial_quality(spec: QualitySpec, rng: RngStream) -> float:
     """Incoming material quality, truncated Gaussian."""
-    return rng.truncated_normal(spec.mu_q, spec.sigma_q, spec.lo, spec.hi)
+    return draw(rng, pure.truncated_normal, spec.mu_q, spec.sigma_q, spec.lo,
+                spec.hi)
 
 
 def sample_wear_nonconforming(delta: float, m: MachineParams, rng: RngStream) -> float:
@@ -36,12 +52,12 @@ def sample_wear_nonconforming(delta: float, m: MachineParams, rng: RngStream) ->
 
     Mean scales linearly with the deviation; clamped at zero.
     """
-    return rng.clamped_normal(delta * m.mu_minus, m.sigma_minus)
+    return _clamped(draw(rng, pure.normal, delta * m.mu_minus, m.sigma_minus))
 
 
 def sample_wear_qualified(p: float, m: MachineParams, rng: RngStream) -> float:
     """Wear induced by p time units of processing, clamped at zero."""
-    return rng.clamped_normal(p * m.mu_plus, m.sigma_plus)
+    return _clamped(draw(rng, pure.normal, p * m.mu_plus, m.sigma_plus))
 
 
 def sample_wear_environment(dt: float, m: MachineParams, rng: RngStream) -> float:
@@ -50,7 +66,7 @@ def sample_wear_environment(dt: float, m: MachineParams, rng: RngStream) -> floa
     Gamma with shape alpha*dt, so windows add: the draw over dt1+dt2 has
     the same law as the sum of draws over dt1 and dt2.
     """
-    return rng.gamma(m.alpha * dt, m.beta)
+    return draw(rng, pure.gamma, m.alpha * dt, m.beta)
 
 
 def degradation_increment(p: float, delta: float, eligible: bool, dt: float,

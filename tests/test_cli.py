@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -260,3 +261,33 @@ def test_an_unscorable_instance_is_a_one_line_error(tmp_path, capsys, spoil,
     assert err == ("reworkopt: invalid instance: a run's %s is inf: values "
                    "too large to score\n" % objective)
     assert not list(out.glob("seed-*"))
+
+
+def _huge_repair_cost(inst):
+    for m in inst.machines:
+        m.c_cm = 1e300
+
+
+def _huge_nominal_time(inst):
+    times = inst.jobs[0].nominal_times
+    times.update((mid, 1e300) for mid in times)
+
+
+@pytest.mark.parametrize("spoil", [_huge_repair_cost, _huge_nominal_time],
+                         ids=["c_cm", "nominal"])
+def test_huge_finite_objectives_score(tmp_path, capsys, spoil):
+    """Objectives so large that adding 1 leaves them unchanged still give
+    the report a nondegenerate axis: the run exits 0 with finite
+    indicators."""
+    inst = generate_instance(6, 0)
+    spoil(inst)
+    path = tmp_path / "inst.txt"
+    save_instance(inst, path)
+    out = tmp_path / "out"
+    assert main(["run", "--instance", str(path), "--pop-size", "2",
+                 "--max-iter", "2", "--rounds", "1", "--seeds", "0",
+                 "--out", str(out)]) == 0
+    assert "report:" in capsys.readouterr().out
+    per_seed, aggregate = load_report(out / "report.txt")
+    assert all(math.isfinite(x) for row in per_seed for x in row[1:])
+    assert all(math.isfinite(x) for x in aggregate.values())

@@ -1,9 +1,10 @@
 """The compiled kernel must be bit-identical to the pure reference.
 
 The compiled kernel under test is the one ``built_core`` builds from
-this checkout's ``_core.c``.  Scalar draws are compared in-process; the
-end-to-end check respawns the interpreter, because the backend binds at
-import.
+this checkout's ``_core.c``.  The draws live inside the compiled
+kernel's step, so they are compared through ``job_step`` and
+``run_machine``, in-process; the end-to-end check respawns the
+interpreter, because the backend binds at import.
 """
 
 import contextlib
@@ -14,7 +15,6 @@ import struct
 import subprocess
 import sys
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,21 +34,23 @@ def pairs(n, seed):
     return [(r.getrandbits(64), r.randrange(0, 10**6)) for _ in range(n)]
 
 
-# the kernel API: the draws and the summary-run loop both backends
-# define, and the pure kernel's shared-draw scope and batch, which
-# resolve to no-ops on the compiled one
-DRAWS = {"mix64", "u01", "normal", "clamped_normal", "gamma",
-         "truncated_normal", "job_step", "run_machine"}
+# the kernel API: the draws and the steps both backends define, and the
+# pure kernel's shared-draw scope and batch, which resolve to no-ops on
+# the compiled one
+API = {"mix64", "u01", "job_step", "run_machine"}
+SCOPE = {"shared_draws", "prefetch"}
 
 
 def test_the_backends_expose_the_kernel_api(built_core):
-    assert {n for n in dir(built_core) if not n.startswith("_")} == DRAWS
+    assert {n for n in dir(built_core) if not n.startswith("_")} == API
+    exported = {n for n, v in vars(_kernel).items()
+                if callable(v) and not n.startswith("_")}
+    assert exported == API | SCOPE
+    # and the draws job_step is built on, which only pure exposes
     defined = {n for n, v in vars(pure).items()
                if callable(v) and not n.startswith("_")
                and v.__module__ == pure.__name__}
-    assert defined == DRAWS | {"shared_draws", "prefetch"}
-    for name in DRAWS | {"shared_draws", "prefetch"}:
-        assert callable(getattr(_kernel, name))
+    assert defined == API | SCOPE | {"normal", "gamma", "truncated_normal"}
 
 
 def test_u01_bitwise_equal(built_core):
@@ -59,42 +61,6 @@ def test_u01_bitwise_equal(built_core):
 def test_mix64_equal(built_core):
     for key, _ in pairs(500, 2):
         assert pure.mix64(key) == built_core.mix64(key)
-
-
-@pytest.mark.parametrize("mu,sigma", [(0.0, 1.0), (3.5, 0.25), (-2.0, 7.0)])
-def test_normal_bitwise_equal(mu, sigma, built_core):
-    for key, ctr in pairs(200, 3):
-        xp, cp = pure.normal(key, ctr, mu, sigma)
-        xc, cc = built_core.normal(key, ctr, mu, sigma)
-        assert (bits(xp), cp) == (bits(xc), cc)
-
-
-@pytest.mark.parametrize("shape,scale", [(0.37, 2.5), (1.0, 1.0), (3.2, 0.4),
-                                         (17.5, 0.01), (0.0, 1.0)])
-def test_gamma_bitwise_equal(shape, scale, built_core):
-    for key, ctr in pairs(200, 4):
-        xp, cp = pure.gamma(key, ctr, shape, scale)
-        xc, cc = built_core.gamma(key, ctr, shape, scale)
-        assert (bits(xp), cp) == (bits(xc), cc)
-
-
-@pytest.mark.parametrize("mu,sigma,lo,hi", [
-    (5.0, 0.01, 4.97, 5.03),
-    (0.0, 1.0, -0.5, 0.5),
-    (10.0, 0.0, 2.0, 8.0),
-])
-def test_truncated_normal_bitwise_equal(mu, sigma, lo, hi, built_core):
-    for key, ctr in pairs(200, 5):
-        xp, cp = pure.truncated_normal(key, ctr, mu, sigma, lo, hi)
-        xc, cc = built_core.truncated_normal(key, ctr, mu, sigma, lo, hi)
-        assert (bits(xp), cp) == (bits(xc), cc)
-
-
-def test_clamped_normal_bitwise_equal(built_core):
-    for key, ctr in pairs(300, 6):
-        xp, cp = pure.clamped_normal(key, ctr, 0.001, 0.015)
-        xc, cc = built_core.clamped_normal(key, ctr, 0.001, 0.015)
-        assert (bits(xp), cp) == (bits(xc), cc)
 
 
 # type specs (sl, xi, mu_q, sig_q, q_lo, q_hi, noise_sigma): the pure
@@ -116,19 +82,60 @@ def _step_args(r):
         mu_q=mu_q, sig_q=sig_q, q_lo=q_lo, q_hi=q_hi, noise_sigma=noise_sigma)
 
 
-def test_job_step_bitwise_equal(built_core):
+def _job_step_cases():
+    """job_step inputs (jkey, jctr, ekey, ectr, keywords): random ones,
+    and a copy of each of the first 20 with an empty exposure window,
+    where the environment draws nothing."""
     r = random.Random(7)
+    cases = []
     for _ in range(400):
         key_j, key_e = r.getrandbits(64), r.getrandbits(64)
         ctr_j, ctr_e = r.randrange(10**4), r.randrange(10**4)
-        kw = _step_args(r)
-        rp = pure.job_step(key_j, ctr_j, key_e, ctr_e, **kw)
-        rc = built_core.job_step(key_j, ctr_j, key_e, ctr_e, **kw)
+        cases.append((key_j, ctr_j, key_e, ctr_e, _step_args(r)))
+    return cases + [(*c[:4], dict(c[4], det=0, dt=0.0)) for c in cases[:20]]
+
+
+def test_job_step_bitwise_equal(built_core):
+    for *keys, kw in _job_step_cases():
+        rp = pure.job_step(*keys, **kw)
+        rc = built_core.job_step(*keys, **kw)
         for xp, xc in zip(rp, rc):
             if isinstance(xp, float):
                 assert bits(xp) == bits(xc)
             else:
                 assert xp == xc
+
+
+def _draw_branches(case):
+    """The draw branches job_step takes on case, told apart by how far
+    it moves each counter: an accepted gamma attempt takes 3 ticks, the
+    boost below shape 1 one more, and each normal 2."""
+    jkey, jctr, ekey, ectr, kw = case
+    if kw["det"]:
+        return {"det"}
+    out = pure.job_step(jkey, jctr, ekey, ectr, **kw)
+    shape = kw["alpha"] * kw["dt"]
+    seen = {"gamma shape 0" if shape <= 0.0 else
+            "gamma below 1" if shape < 1.0 else
+            "gamma rejected" if out[10] - ectr > 3 else "gamma"}
+    if not kw["kind"]:
+        outside = not abs(out[3] - kw["sl"]) < kw["xi"]
+        if outside:
+            seen.add("z_m drawn")
+        # ups, eps, z_m when outside and z_p: 6 or 8 ticks unless rejected
+        if kw["sig_q"] == 0.0:
+            seen.add("truncated sigma 0")
+        elif out[9] - jctr > 6 + 2 * outside:
+            seen.add("truncated rejected")
+    return seen
+
+
+def test_the_job_step_cases_reach_every_draw_branch():
+    """The job_step comparison above reaches every branch of the draws
+    that the compiled kernel keeps inside its step."""
+    seen = set().union(*map(_draw_branches, _job_step_cases()))
+    assert seen >= {"det", "gamma shape 0", "gamma below 1", "gamma rejected",
+                    "z_m drawn", "truncated sigma 0", "truncated rejected"}
 
 
 # job_step's arguments after the nominal time o, in order
@@ -236,7 +243,6 @@ def _draw_calls():
         calls += [
             ("normal", (key, ctr, r.uniform(-3.0, 3.0), r.uniform(0.1, 2.0)),
              {}),
-            ("clamped_normal", (key, ctr, 0.001, 0.015), {}),
             ("gamma", (key, ctr, r.choice([0.0, 0.37, 1.0, 3.2]), 2.5), {}),
             ("truncated_normal", (key, ctr, 0.0, 1.0, -0.5, 0.5), {}),
             ("job_step", (r.choice(keys), r.randrange(4), key,
@@ -247,10 +253,11 @@ def _draw_calls():
 
 def test_shared_draws_bitwise_equal(built_core):
     """Pure draws read from the tables of a shared_draws() scope, on a
-    first call and on a repeated one, equal the compiled ones."""
+    first call and on a repeated one, equal the draws outside a scope:
+    job_step's the compiled kernel's, the other draws pure's."""
     calls = _draw_calls()
-    want = [repr(getattr(built_core, name)(*args, **kw))
-            for name, args, kw in calls]
+    want = [repr(getattr(built_core if name == "job_step" else pure, name)(
+        *args, **kw)) for name, args, kw in calls]
     with pure.shared_draws():
         for _ in range(2):
             got = [repr(getattr(pure, name)(*args, **kw))

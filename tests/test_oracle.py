@@ -33,6 +33,23 @@ def test_audit_accepts_simulated_traces():
         assert check_feasibility(inst, tr) == []
 
 
+def test_audit_follows_the_wear_chain_through_events_tied_in_time():
+    """After a preventive action of 1e300 time units, each later event's
+    duration is lost in rounding, so a machine's events tie in (start,
+    end); the audit orders them by their wear chain, and still flags a
+    break in it."""
+    inst = generate_instance(6, 0)
+    inst.machines[0].t_pm = 1e300
+    ch = random_chromosome(inst, (0, 1), RngStream.from_seed(3))
+    tr = simulate(inst, decode(ch, inst), RngStream.from_seed(4),
+                  SimConfig(mode=STATIC))
+    tied = [ev for ev in tr.job_events if ev.start == ev.completion]
+    assert len(tied) > 1
+    assert check_feasibility(inst, tr) == []
+    tied[0].w_before += 1.0
+    assert any("wear discontinuity" in e for e in check_feasibility(inst, tr))
+
+
 def test_audit_flags_duplicated_job():
     inst, tr = _toy_trace(1)
     tr.job_events.append(tr.job_events[0])

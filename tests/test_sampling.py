@@ -6,11 +6,12 @@ import math
 import struct
 
 from reworkopt import _kernel
+from reworkopt._kernel import pure
 from reworkopt.instances import base_machines
 from reworkopt.model import GlobalParams, QualitySpec
 from reworkopt.rng import RngStream
 from sampling import (actual_processing_time, classify_quality,
-                      degradation_increment, quality_characteristic,
+                      degradation_increment, draw, quality_characteristic,
                       sample_initial_quality, sample_wear_environment,
                       sample_wear_nonconforming, sample_wear_qualified)
 
@@ -128,7 +129,7 @@ def test_fused_step_equals_documented_composition():
         w1 = w + dv2
         p2 = actual_processing_time(o, g.eta, w1)
         ups2 = sample_initial_quality(spec, job)
-        eps2 = job.normal(0.0, g.noise_sigma)
+        eps2 = draw(job, pure.normal, 0.0, g.noise_sigma)
         d2 = quality_characteristic(M0, w1, eps2)
         delta = abs(ups2 - spec.target)
         du_m2 = 0.0 if delta < spec.tol else sample_wear_nonconforming(

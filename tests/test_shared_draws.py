@@ -78,8 +78,6 @@ def _job_step_calls():
 
 CALLS = st.lists(st.one_of(
     st.tuples(st.just(pure.normal), st.tuples(KEYS, CTRS, REALS, SIGMAS)),
-    st.tuples(st.just(pure.clamped_normal),
-              st.tuples(KEYS, CTRS, REALS, SIGMAS)),
     _gamma_calls(), _truncated_calls(), _job_step_calls()),
     min_size=1, max_size=16)
 
