@@ -5,10 +5,11 @@ draw (floats repr round-trip exactly, the sign of zero included), once
 outside a ``shared_draws()`` scope and twice inside one: on the first
 call, which fills the pure kernel's tables, and on the repeat, which
 reads them.  Any change to an expression, a tick count or a memo shows
-up here.  The gamma, normal and truncated normal draws are pure's own:
-the compiled kernel keeps them inside its step.  The ``job_step`` cases
-pin every importable backend and the compiled kernel built from this
-checkout's ``_core.c`` (``built_core``) to the same digests.
+up here.  Every importable backend, and the compiled kernel built from
+this checkout's ``_core.c`` (``built_core``), must give the same
+digests; the compiled kernel keeps its gamma, normal and truncated
+normal draws inside its step, so those cases reach them through
+``job_step`` (``step_draws``).
 """
 
 import contextlib
@@ -18,6 +19,7 @@ import random
 import pytest
 
 from reworkopt._kernel import pure
+from step_draws import through_job_step
 
 
 def backends():
@@ -118,7 +120,7 @@ def _digest(fn, calls):
 
 def _check(mod, name):
     draw, make, want = CASES[name]
-    fn = getattr(mod, draw)
+    fn = getattr(mod, draw, None) or getattr(through_job_step(mod), draw)
     calls = make(random.Random(name))
     assert _digest(fn, calls) == want
     with getattr(mod, "shared_draws", contextlib.nullcontext)():
@@ -126,16 +128,12 @@ def _check(mod, name):
         assert _digest(fn, calls) == want
 
 
-STEPS = sorted(n for n, case in CASES.items() if case[0] == "job_step")
-
-
-@pytest.mark.parametrize("name,backend", [
-    (name, backend) for name in sorted(CASES) for backend in sorted(backends())
-    if backend == "pure" or name in STEPS])
+@pytest.mark.parametrize("backend", sorted(backends()))
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_draws_match_their_pinned_digest(name, backend):
     _check(backends()[backend], name)
 
 
-@pytest.mark.parametrize("name", STEPS)
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_built_kernel_draws_match_their_pinned_digest(name, built_core):
     _check(built_core, name)

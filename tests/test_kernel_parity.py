@@ -2,9 +2,9 @@
 
 The compiled kernel under test is the one ``built_core`` builds from
 this checkout's ``_core.c``.  The draws live inside the compiled
-kernel's step, so they are compared through ``job_step`` and
-``run_machine``, in-process; the end-to-end check respawns the
-interpreter, because the backend binds at import.
+kernel's step, so they are compared through ``job_step``
+(``step_draws``) and ``run_machine``, in-process; the end-to-end check
+respawns the interpreter, because the backend binds at import.
 """
 
 import contextlib
@@ -15,6 +15,7 @@ import struct
 import subprocess
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from reworkopt._kernel import pure
 from reworkopt.model import Job
 from reworkopt.rng import RngStream
 from reworkopt.simulate import _Ent
+from step_draws import through_job_step
 
 
 def bits(x: float) -> bytes:
@@ -61,6 +63,40 @@ def test_u01_bitwise_equal(built_core):
 def test_mix64_equal(built_core):
     for key, _ in pairs(500, 2):
         assert pure.mix64(key) == built_core.mix64(key)
+
+
+# the compiled kernel's draws, reached through its job_step, against
+# pure's own
+@pytest.mark.parametrize("mu,sigma", [(0.0, 1.0), (3.5, 0.25), (-2.0, 7.0)])
+def test_normal_bitwise_equal(mu, sigma, built_core):
+    normal = through_job_step(built_core).normal
+    for key, ctr in pairs(200, 3):
+        xp, cp = pure.normal(key, ctr, mu, sigma)
+        xc, cc = normal(key, ctr, mu, sigma)
+        assert (bits(xp), cp) == (bits(xc), cc)
+
+
+@pytest.mark.parametrize("shape,scale", [(0.37, 2.5), (1.0, 1.0), (3.2, 0.4),
+                                         (17.5, 0.01), (0.0, 1.0)])
+def test_gamma_bitwise_equal(shape, scale, built_core):
+    gamma = through_job_step(built_core).gamma
+    for key, ctr in pairs(200, 4):
+        xp, cp = pure.gamma(key, ctr, shape, scale)
+        xc, cc = gamma(key, ctr, shape, scale)
+        assert (bits(xp), cp) == (bits(xc), cc)
+
+
+@pytest.mark.parametrize("mu,sigma,lo,hi", [
+    (5.0, 0.01, 4.97, 5.03),
+    (0.0, 1.0, -0.5, 0.5),
+    (10.0, 0.0, 2.0, 8.0),
+])
+def test_truncated_normal_bitwise_equal(mu, sigma, lo, hi, built_core):
+    truncated_normal = through_job_step(built_core).truncated_normal
+    for key, ctr in pairs(200, 5):
+        xp, cp = pure.truncated_normal(key, ctr, mu, sigma, lo, hi)
+        xc, cc = truncated_normal(key, ctr, mu, sigma, lo, hi)
+        assert (bits(xp), cp) == (bits(xc), cc)
 
 
 # type specs (sl, xi, mu_q, sig_q, q_lo, q_hi, noise_sigma): the pure
