@@ -7,15 +7,14 @@ reference.  Nothing is compiled on import.  Set REWORKOPT_PURE=1 to
 force the fallback (used by the parity tests and the benchmark).
 
 ``shared_draws()`` opens a scope in which the pure kernel computes each
-repeated draw once, a job's job-stream draws included (see ``pure``);
-callers open it through ``rng.shared_draws()``, which also shares job
-keys.  Inside it, ``prefetch(jobs, envs)`` draws a fresh root's first
-job and environment draws at once, in lanes of one integer (the
-simulator calls it once per root).  The compiled kernel has no memo,
-so there both are no-ops.  The kernel API is the four functions of
-``_core`` plus these two: the draws ``mix64`` and ``u01``, the event
-step ``job_step``, and ``run_machine``, which steps one machine of a run
-in one call and records each step in a ``record`` list (see ``pure``).
+repeated draw once, a job's job-stream draws included, and batches a
+machine's first draws on a fresh environment key in lanes of one
+integer (see ``pure``); callers open it through ``rng.shared_draws()``,
+which also shares job keys.  The compiled kernel has no memo, so there
+it is a no-op.  The kernel API is the four functions of ``_core`` plus
+this one: the draws ``mix64`` and ``u01``, the event step ``job_step``,
+and ``run_machine``, which steps one machine of a run in one call and
+records each step in a ``record`` list (see ``pure``).
 """
 
 import contextlib
@@ -40,5 +39,4 @@ u01 = _impl.u01
 job_step = _impl.job_step
 run_machine = _impl.run_machine
 shared_draws = getattr(_impl, "shared_draws", contextlib.nullcontext)
-prefetch = getattr(_impl, "prefetch", lambda jobs, envs: None)
 

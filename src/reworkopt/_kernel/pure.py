@@ -5,9 +5,9 @@ hand-written C twin in ``_core.c`` mirrors its arithmetic expression by
 expression.  Every arithmetic expression here is a contract: evaluation
 order must not change, or the two backends stop being bit-identical.
 The kernel API is ``mix64``, ``u01``, ``job_step`` and ``run_machine``
-on both backends, plus ``shared_draws`` and ``prefetch`` here;
-``normal``, ``gamma`` and ``truncated_normal`` are the draws
-``job_step`` is built on, which the C twin keeps inside its step.
+on both backends, plus ``shared_draws`` here; ``normal``, ``gamma`` and
+``truncated_normal`` are the draws ``job_step`` is built on, which the
+C twin keeps inside its step.
 
 RNG scheme: splitmix64-style hash of (key, counter).  Each uniform draw
 consumes one counter tick; derived draws consume a deterministic (data
@@ -26,20 +26,20 @@ produced, and the wear increments are recomputed at each call from the
 kept standard normals.  The memos spare the big-integer hashing and
 Python-level sampling that dominate this module.  The compiled twin
 hashes in machine words and needs no such memo, so it has none; its
-``shared_draws`` and ``prefetch`` are no-ops, and the kernel API is the
-same on both backends.
+``shared_draws`` is a no-op, and the kernel API is the same on both
+backends.
 
-A root's first draws come in one batch: when a stochastic run starts on
-a root no run of the scope has drawn from (the first label replication
-of a scope, the first projection of a trigger), the simulator hands
-``prefetch`` its real jobs' keys and type specs and its machines'
-environment keys.  ``prefetch`` hashes all their first ticks at once, in
-the 128-bit lanes of one Python int (``_mix64_lanes``: exact, so every
-uniform is bit for bit ``u01``'s), and fills the tables with what the
-scalar draws would store there: each job's ``_job_draws`` from counter
-0, and each environment stream's uniforms and the normals at the ticks
-where gamma reads them.  Whatever the batch does not cover (a rejected
-draw past its ticks, a longer run) the scalar draws compute as before.
+A machine's first draws come in one batch: when a stochastic
+``run_machine`` starts inside a scope on an environment key no run of
+the scope has drawn from (the first label replication of a scope, the
+first projection of a trigger), it hashes the first ticks of that key
+and of its row's real jobs' keys at once (``_prefetch``), in the 128-bit
+lanes of one Python int (``_mix64_lanes``: exact, so every uniform is
+bit for bit ``u01``'s), and fills the tables with what the scalar draws
+would store there: each job's ``_job_draws`` from counter 0, and the
+environment stream's uniforms and the normals at the ticks where gamma
+reads them.  Whatever the batch does not cover (a rejected draw past
+its ticks, a longer run) the scalar draws compute as before.
 
 The hot draws read the tables without a chain of calls: ``gamma``
 indexes its key's rows itself, ``job_step`` looks a real job's kept
@@ -76,6 +76,7 @@ _ORDER = sys.byteorder
 _LO = 0 if _ORDER == "little" else 1
 _LANE_M64 = _M64.to_bytes(16, _ORDER)
 _JOB_TICKS = 8          # batched ticks of a job key: 4 standard normals
+_golden = b""           # (t + 1) * _GOLDEN by tick t, grown by _u01_lanes
 
 
 def mix64(z):
@@ -114,11 +115,13 @@ def _u01_lanes(groups):
     """u01(key, ctr) for every key of each (keys, ticks) group and every
     ctr below its ticks, key by key, in one list.  Keys are below 2**64.
     A lane holds key + (ctr + 1) * _GOLDEN, built from bytes: each key
-    repeated, plus a prefix of one golden-ratio pattern of the most
-    ticks."""
+    repeated, plus a prefix of the golden-ratio lanes _golden."""
+    global _golden
     top = max(ticks for _, ticks in groups)
-    golden = b"".join((((t + 1) * _GOLDEN) & _M64).to_bytes(16, _ORDER)
-                      for t in range(top))
+    if 16 * top > len(_golden):
+        _golden += b"".join((((t + 1) * _GOLDEN) & _M64).to_bytes(16, _ORDER)
+                            for t in range(len(_golden) // 16, top))
+    golden = _golden
     keys_b, golden_b, n = [], [], 0
     for keys, ticks in groups:
         keys_b += [k.to_bytes(16, _ORDER) * ticks for k in keys]
@@ -157,38 +160,33 @@ def shared_draws():
         _normals, _uniforms, _jobs = outer
 
 
-def prefetch(jobs, envs):
-    """Fill the open scope's tables at once for a root none of whose
-    streams was drawn from yet; outside a scope do nothing.
+def _prefetch(row, i, mid, job_keys, ekey):
+    """Fill the open scope's tables at once for machine mid's stochastic
+    run of row[i:] from environment key ekey, which no run of the scope
+    has drawn from yet.
 
-    jobs yields (jkey, spec) for the root's real jobs: the key, drawn
-    from jctr 0, and the type spec of _job_draws.  envs lists (ekey, steps) for its
-    machines' environment streams, steps bounding the gamma draws a run
-    takes there.  Every value is the one its scalar draw gives:
-    _jobs[jkey, 0] is _job_draws(jkey, 0, spec) from ticks 0-7 of jkey
-    (a key that needs more ticks is left to _job_draws), the _uniforms
-    row of ekey holds u01 for its first 3 * (steps + 2) ticks, and its
-    _normals row the standard normal at every third of them, where
-    gamma reads its normals while no attempt is rejected and no shape is
-    below 1.  All uniforms are hashed in one call of _mix64_lanes."""
-    if _jobs is None:
-        return
-    jobs = list(jobs)
-    envs = [(ekey, 3 * (steps + 2)) for ekey, steps in envs]
-    u = _u01_lanes([([jkey for jkey, _ in jobs], _JOB_TICKS)]
-                   + [([ekey], ticks) for ekey, ticks in envs])
-    i = 0
-    for jkey, spec in jobs:
-        got = _batched_job_draws(u, i, spec)
+    Every value is the one its scalar draw gives.  Each real job of
+    row[i:] gets _jobs[jkey, 0] = _job_draws(jkey, 0, spec) from ticks
+    0-7 of its key jkey = job_keys[e.eid], spec being the last seven
+    values of e.args[mid] (a job that needs more ticks, or draws a zero
+    ups, is left to _job_draws).  ekey's _uniforms row holds u01 for its
+    first 3 * (len(row) - i + 2) ticks, and its _normals row the standard
+    normal at every third of them, where gamma reads its normals while
+    no attempt is rejected and no shape is below 1.  All uniforms are
+    hashed in one call of _u01_lanes."""
+    jobs = [(job_keys[e.eid], e.args[mid][-7:]) for e in row[i:]
+            if e.job is not None]
+    ticks = 3 * (len(row) - i + 2)
+    u = _u01_lanes([([jkey for jkey, _ in jobs], _JOB_TICKS),
+                    ([ekey], ticks)])
+    for k, (jkey, spec) in enumerate(jobs):
+        got = _batched_job_draws(u, k * _JOB_TICKS, spec)
         if got is not None and got[1] != 0.0:
             _jobs[jkey, 0] = got
-        i += _JOB_TICKS
-    for ekey, ticks in envs:
-        row = _uniforms[ekey] = array("d", u[i:i + ticks])
-        nrow = _normals[ekey] = _HOLE * ticks
-        nrow[::3] = array("d", [_box_muller(row[t], row[t + 1])
-                                for t in range(0, ticks, 3)])
-        i += ticks
+    urow = _uniforms[ekey] = array("d", u[-ticks:])
+    nrow = _normals[ekey] = _HOLE * ticks
+    nrow[::3] = array("d", [_box_muller(urow[t], urow[t + 1])
+                            for t in range(0, ticks, 3)])
 
 
 def _batched_job_draws(u, i, spec):
@@ -459,13 +457,17 @@ def run_machine(row, i, mid, job_keys, ekey, ectr, det, skip_idle, cap, w0,
 
     The event is job_step's and the environment draw gamma's, expression
     for expression and in the same order; the shared-draw tables are
-    read as those functions read them.  tests/test_simulate.py pins this
-    copy to job_step through its reference loop, and
+    read as those functions read them, once _prefetch has filled them
+    for a stochastic run on an ekey the open scope has no row for (it
+    reads the key of every real job of row[i:]).  tests/test_simulate.py
+    pins this copy to job_step through its reference loop, and
     tests/test_kernel_parity.py pins the compiled twin to it.
     """
     normals, uniforms, jobs = _normals, _uniforms, _jobs
     sqrt, log, pow = math.sqrt, math.log, math.pow
     if normals is not None:
+        if not det and ekey not in uniforms:
+            _prefetch(row, i, mid, job_keys, ekey)
         nrow, urow = normals.get(ekey, _NO_ROW), uniforms.get(ekey, _NO_ROW)
     resets = []
     stop = None

@@ -17,8 +17,8 @@ import sys
 from . import __version__, storage
 from .encoding import GeneBounds, decode, random_chromosome
 from .gantt import export_gantt
-from .harness import (ExperimentConfig, collect_archives, nondominated,
-                      run_experiment, write_aggregate_report)
+from .harness import (ExperimentConfig, collect_archives, load_reference,
+                      nondominated, run_experiment, write_aggregate_report)
 from .improver import make_rescheduler
 from .instances import generate_instance, oracle_toy, toy_instance
 from .model import InvalidInstanceError, InvalidOptionError
@@ -59,10 +59,7 @@ def _cmd_run(args):
 
 def _cmd_report(args):
     per_seed_points = collect_archives(args.run_dir, args.seeds)
-    reference = None
-    if args.reference:
-        rows = storage.load_archive(args.reference)
-        reference = [(cmax, cost) for _, cmax, cost, _ in rows]
+    reference = load_reference(args.reference) if args.reference else None
     path = write_aggregate_report(args.run_dir, per_seed_points, reference)
     print("report: %s" % path)
     return 0

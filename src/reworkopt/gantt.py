@@ -9,6 +9,8 @@ duration, which keeps the output auditable by eye and by test.
 
 from __future__ import annotations
 
+from .model import InvalidOptionError
+
 GANTT_TAG = "<!-- reworkopt-gantt v1 -->"
 
 _FILL = {
@@ -43,6 +45,8 @@ def _rect(cls, x, y, w, h, fill, title=None):
 
 def export_gantt(trace, path=None, scale: float = 1.0) -> str:
     """Render the trace; returns the SVG text, optionally writing it."""
+    if not 0.0 < scale < float("inf"):
+        raise InvalidOptionError(f"scale must be finite and positive, got {scale!r}")
     mids = sorted(trace.final_states)
     row_of = {mid: i for i, mid in enumerate(mids)}
 

@@ -160,7 +160,7 @@ def score_archives(per_seed_points: dict[int, list], reference=None):
         pooled = [p for pts in sets for p in pts]
         reference = nondominated(pooled)
     if not reference:
-        raise ValueError("empty reference front")
+        raise InvalidOptionError("empty reference front")
     bounds = _padded_bounds(sets + [reference])
     ref_n = normalize(reference, bounds)
     best_cmax = min(p[0] for p in reference)
@@ -186,13 +186,25 @@ def score_archives(per_seed_points: dict[int, list], reference=None):
     return per_seed, aggregate, reference
 
 
+def load_reference(path) -> list:
+    """The (c_max, cost) points of the archive file at path, to score
+    archives against; a file without points is refused."""
+    points = [(cmax, cost) for _, cmax, cost, _ in storage.load_archive(path)]
+    if not points:
+        raise InvalidOptionError(f"reference front {path} holds no points")
+    return points
+
+
 def collect_archives(outdir, seeds=None) -> dict[int, list]:
-    """Read per-seed archive files back as {seed: [(c_max, cost), ...]}."""
+    """Read per-seed archive files back as {seed: [(c_max, cost), ...]};
+    a run directory without seed-* archives is refused."""
     out: dict[int, list] = {}
     if seeds is None:
         seeds = sorted(int(name.split("-", 1)[1])
                        for name in os.listdir(outdir)
                        if name.startswith("seed-"))
+        if not seeds:
+            raise InvalidOptionError(f"{outdir} holds no seed-* archives")
     for seed in seeds:
         rows = storage.load_archive(os.path.join(seed_dir(outdir, seed),
                                                  "archive.tsv"))
@@ -215,8 +227,7 @@ def run_experiment(cfg: ExperimentConfig):
     inst = resolve_instance(cfg)
     reference = None
     if cfg.reference_path is not None:
-        ref_rows = storage.load_archive(cfg.reference_path)
-        reference = [(cmax, cost) for _, cmax, cost, _ in ref_rows]
+        reference = load_reference(cfg.reference_path)
     storage.ensure_dir(cfg.outdir)
     if cfg.instance_path is None:
         storage.save_instance(inst, os.path.join(cfg.outdir, "instance.txt"))

@@ -220,5 +220,5 @@ def oracle_toy(seed: int, n_jobs: int | None = None) -> ProblemInstance:
     quality = {0: QualitySpec(target=5.0, tol=0.1, mu_q=5.0, sigma_q=0.01,
                               lo=4.97, hi=5.03)}
     g = GlobalParams(eta=1.2, theta=0.3, varphi=0.05, noise_sigma=1.0)
-    return ProblemInstance(jobs, machines, quality, g,
-                           meta={"kind": "oracle-toy", "seed": seed})
+    return require_valid(ProblemInstance(
+        jobs, machines, quality, g, meta={"kind": "oracle-toy", "seed": seed}))

@@ -284,6 +284,8 @@ def enumerate_pareto(inst: ProblemInstance,
     n = inst.n_jobs
     if n > max_jobs:
         raise InvalidOptionError(f"{n} jobs exceed the enumeration limit {max_jobs}")
+    if n_u_max < 0:
+        raise InvalidOptionError(f"n_u_max {n_u_max} is negative")
     zmin, zmax = zeta_bounds
     mids = [m.id for m in inst.machines]
     cap_lists = [sorted(j.nominal_times) for j in inst.jobs]

@@ -231,8 +231,6 @@ class _Sim:
         # entity eid draws with key job_keys[eid]; a det run draws nothing
         # and reads no key
         self.job_keys = None if cfg.det else root.substream(NS_JOB).subkeys()
-        if not cfg.det and not self.job_keys:
-            self._prefetch()
         self.job_events: list[JobEvent] = []
         self.idle_events: list[IdleEvent] = []
         self.maint_events: list[MaintenanceEvent] = []
@@ -257,20 +255,6 @@ class _Sim:
         self.maint_keys: list[tuple[float, int]] = []
 
     # -- helpers -------------------------------------------------------
-
-    def _prefetch(self) -> None:
-        """Hand the kernel the real jobs' keys and type specs (the last
-        seven of job_step's arguments) and the machines' environment keys
-        of a stochastic run whose root no run has drawn from yet, so that
-        inside a shared_draws() scope it draws them all at once.  The jobs
-        are a generator: the keys are hashed only if the kernel reads
-        them."""
-        job_keys = self.job_keys
-        _kernel.prefetch(
-            ((job_keys[e.eid], e.args[mid][-7:])
-             for mid, row in self.queues.items()
-             for e in row if e.job is not None),
-            [(self.env[mid].key, len(row)) for mid, row in self.queues.items()])
 
     def _drain(self, upto: float) -> None:
         while self.heap and self.heap[0][0] <= upto:

@@ -11,7 +11,8 @@ from reworkopt import harness
 from reworkopt.cli import _parse_seeds, build_parser, main
 from reworkopt.instances import generate_instance, toy_instance
 from reworkopt.storage import (ARCHIVE_TAG, load_archive, load_instance,
-                               load_manifest, load_report, save_instance)
+                               load_manifest, load_report, save_archive,
+                               save_instance)
 
 
 def test_seed_list_parsing():
@@ -162,6 +163,13 @@ _SMALL = ["--n-jobs", "6", "--pop-size", "2", "--max-iter", "2",
     ["run", *_SMALL, "--jobs", "0"],
     ["run", *_SMALL, "--jobs", "-3"],
     ["oracle", "--n-jobs", "12"],
+    ["oracle", "--n-jobs", "0", "--check"],
+    ["oracle", "--n-jobs", "-3"],
+    ["oracle", "--n-u-max", "-1"],
+    ["gantt", "--scale", "0"],
+    ["gantt", "--scale", "-2"],
+    ["gantt", "--scale", "nan"],
+    ["gantt", "--scale", "inf"],
 ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
 def test_a_refused_option_is_a_one_line_error(tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -187,6 +195,27 @@ def test_a_missing_file_is_a_one_line_error(tmp_path, capsys, monkeypatch,
     assert err.startswith("reworkopt: No such file or directory: ")
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_an_empty_reference_front_is_a_one_line_error(tmp_path, capsys):
+    """A reference archive without points is refused before a run writes
+    anything, and so is a report on a directory without seed archives or
+    whose archives hold no points."""
+    empty = tmp_path / "empty.tsv"
+    save_archive([], empty)
+    out = tmp_path / "out"
+    pointless = tmp_path / "pointless"
+    (pointless / "seed-0").mkdir(parents=True)
+    save_archive([], pointless / "seed-0" / "archive.tsv")
+    for argv in (["run", *_SMALL, "--seeds", "0", "--reference", str(empty),
+                  "--out", str(out)],
+                 ["report", "--run-dir", str(tmp_path)],
+                 ["report", "--run-dir", str(pointless)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("reworkopt: ") and err.count("\n") == 1
+        assert not out.exists()
+        assert not list(tmp_path.glob("**/report.txt"))
 
 
 def test_a_run_refuses_an_instance_file_without_jobs(tmp_path, capsys):

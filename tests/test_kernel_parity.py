@@ -37,10 +37,10 @@ def pairs(n, seed):
 
 
 # the kernel API: the draws and the steps both backends define, and the
-# pure kernel's shared-draw scope and batch, which resolve to no-ops on
-# the compiled one
+# pure kernel's shared-draw scope, which resolves to a no-op on the
+# compiled one
 API = {"mix64", "u01", "job_step", "run_machine"}
-SCOPE = {"shared_draws", "prefetch"}
+SCOPE = {"shared_draws"}
 
 
 def test_the_backends_expose_the_kernel_api(built_core):

@@ -1,8 +1,10 @@
-"""A fresh root's draws hashed at once equal the scalar draws.
+"""A machine's first draws hashed at once equal the scalar draws.
 
-``pure.prefetch`` hashes the first ticks of a root's job and environment
-keys in the 128-bit lanes of one integer and fills the shared-draw
-tables with what the scalar draws would store there.  Every entry must
+``pure._prefetch`` hashes the first ticks of a machine's environment key
+and of its row's real jobs' keys in the 128-bit lanes of one integer and
+fills the shared-draw tables with what the scalar draws would store
+there; ``run_machine`` calls it when a stochastic run starts inside a
+scope on an environment key the scope has no row for.  Every entry must
 be the scalar value bit for bit; a job whose draws need more ticks than
 the batch holds, or whose characteristic is zero, must be left out.
 """
@@ -12,12 +14,12 @@ import sys
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reworkopt import _kernel, rng
+from reworkopt import rng
 from reworkopt._kernel import pure
 from reworkopt.encoding import decode, random_chromosome
 from reworkopt.instances import generate_instance
 from reworkopt.planner import PlannerConfig, det_preview, label_static_obj
-from reworkopt.rng import NS_INIT, NS_LABEL, RngStream
+from reworkopt.rng import NS_ENV, NS_INIT, NS_LABEL, RngStream
 from reworkopt.simulate import STATIC, SimConfig, idle_space_count, simulate
 
 KEYS = st.one_of(st.sampled_from([0, 2**64 - 1]),
@@ -74,12 +76,37 @@ def _scalar(jkey, spec):
     return pure._job_draws(jkey, 0, spec)
 
 
+class _Stub:
+    """A row entry as the batch reads it: job (None for an idle
+    placeholder), eid, and args by machine, whose last seven values are
+    the type spec."""
+
+    def __init__(self, eid, spec, real=True):
+        self.job = object() if real else None
+        self.eid = eid
+        # machine 0 carries the spec; machine 1 a different one
+        self.args = {0: (0.0,) * 11 + spec, 1: (0.0,) * 11 + SPECS["wide"]}
+
+
+def _batch(jobs, ekey, n_idle=0, head=()):
+    """The tables after one batch of machine 0 from ekey over a row of
+    the head entries, then the (jkey, spec) jobs with n_idle idle
+    placeholders after them, starting past the head.  Only the jobs'
+    keys are in job_keys, so reading a head key fails."""
+    head = [_Stub(-1 - n, spec) for n, spec in enumerate(head)]
+    row = head + [_Stub(n, spec) for n, (_, spec) in enumerate(jobs)]
+    row += [_Stub(len(jobs) + n, SPECS["wide"], real=False)
+            for n in range(n_idle)]
+    job_keys = {n: jkey for n, (jkey, _) in enumerate(jobs)}
+    with pure.shared_draws():
+        pure._prefetch(row, len(head), 0, job_keys, ekey)
+        return dict(pure._jobs), dict(pure._uniforms), dict(pure._normals)
+
+
 def test_each_case_is_kept_or_left_as_the_scalar_draws_say():
     keys = [pure.mix64(i) for i in range(200)]
     for name, spec in SPECS.items():
-        with pure.shared_draws():
-            pure.prefetch(((k, spec) for k in keys), [])
-            kept = dict(pure._jobs)
+        kept, _, _ = _batch([(k, spec) for k in keys], 2**64 - 1)
         n_kept = n_z_m = n_long = 0
         for k in keys:
             w = _scalar(k, spec)
@@ -103,42 +130,25 @@ def test_each_case_is_kept_or_left_as_the_scalar_draws_say():
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(KEYS, st.sampled_from(sorted(SPECS.values()))),
                 max_size=12, unique_by=lambda j: j[0]),
-       st.lists(st.tuples(KEYS, st.integers(0, 30)), max_size=4,
-                unique_by=lambda e: e[0]))
-def test_prefetched_tables_hold_the_scalar_values(jobs, envs):
-    env_keys = {k for k, _ in envs}
-    jobs = [j for j in jobs if j[0] not in env_keys]
-    with pure.shared_draws():
-        pure.prefetch(jobs, envs)
-        kept = dict(pure._jobs)
-        uniforms, normals = dict(pure._uniforms), dict(pure._normals)
+       KEYS, st.integers(0, 30),
+       st.lists(st.sampled_from(sorted(SPECS.values())), max_size=3))
+def test_prefetched_tables_hold_the_scalar_values(jobs, ekey, n_idle, head):
+    jobs = [j for j in jobs if j[0] != ekey]
+    kept, uniforms, normals = _batch(jobs, ekey, n_idle, head)
     for k, spec in jobs:
         w = _scalar(k, spec)
         if w[5] <= pure._JOB_TICKS and w[1] != 0.0:
             assert repr(kept.pop((k, 0))) == repr(w)
     assert not kept
-    assert set(uniforms) == set(normals) == env_keys
-    for k, steps in envs:
-        urow, nrow = uniforms[k], normals[k]
-        assert len(urow) == len(nrow) >= 3 * steps
-        assert list(urow) == [pure.u01(k, c) for c in range(len(urow))]
-        for c, z in enumerate(nrow):
-            if c % 3:
-                assert z != z           # a hole
-            else:
-                assert z == pure._std_normal(k, c)
-
-
-def test_prefetch_does_nothing_outside_a_scope():
-    drawn = []
-
-    def jobs():
-        drawn.append(1)
-        yield 7, SPECS["wide"]
-
-    pure.prefetch(jobs(), [(9, 5)])
-    assert not drawn
-    assert (pure._normals, pure._uniforms, pure._jobs) == (None, None, None)
+    assert set(uniforms) == set(normals) == {ekey}
+    urow, nrow = uniforms[ekey], normals[ekey]
+    assert len(urow) == len(nrow) == 3 * (len(jobs) + n_idle + 2)
+    assert list(urow) == [pure.u01(ekey, c) for c in range(len(urow))]
+    for c, z in enumerate(nrow):
+        if c % 3:
+            assert z != z           # a hole
+        else:
+            assert z == pure._std_normal(ekey, c)
 
 
 def _setup():
@@ -150,46 +160,50 @@ def _setup():
     return inst, master, chrom
 
 
-def test_a_root_is_prefetched_once_per_scope_and_never_by_a_det_run(
-        monkeypatch):
+def _env_keys(inst, root):
+    return {root.substream(NS_ENV, m.id).key for m in inst.machines}
+
+
+def test_prefetch_does_nothing_outside_a_scope(batched):
+    inst, master, chrom = _setup()
+    simulate(inst, decode(chrom, inst), master.substream(NS_LABEL, 0),
+             SimConfig(mode=STATIC, summary=True))
+    assert batched == []
+    assert (pure._normals, pure._uniforms, pure._jobs) == (None, None, None)
+
+
+def test_each_environment_key_is_batched_once_per_scope_and_never_by_a_det_run(
+        batched):
     inst, master, chrom = _setup()
     plan = decode(chrom, inst)
-    calls = []
-    orig = _kernel.prefetch
-    monkeypatch.setattr(_kernel, "prefetch", lambda jobs, envs: (
-        calls.append(len(envs)), orig(jobs, envs)))
     det = SimConfig(mode=STATIC, det=True, summary=True)
     stochastic = SimConfig(mode=STATIC, summary=True)
     with rng.shared_draws():
         simulate(inst, plan, master.substream(NS_LABEL, 0), det)
-        assert calls == []
-        if _kernel.BACKEND == "pure":
-            assert not pure._jobs and not pure._uniforms
+        assert batched == []
+        assert not pure._jobs and not pure._uniforms
         root = master.substream(NS_LABEL, 1)
         first = simulate(inst, plan, root, stochastic)
-        assert calls == [len(inst.machines)]
-        if _kernel.BACKEND == "pure":
-            assert pure._jobs and pure._uniforms
+        assert sorted(batched) == sorted(_env_keys(inst, root))
+        assert pure._jobs and set(pure._uniforms) == set(batched)
         again = simulate(inst, plan, root, stochastic)
-        assert len(calls) == 1
+        assert len(batched) == len(inst.machines)
     assert again == first
     assert (pure._normals, pure._uniforms, pure._jobs) == (None, None, None)
     assert simulate(inst, plan, root, stochastic) == first
+    assert len(batched) == len(inst.machines)
 
 
-
-def test_the_first_label_after_a_det_preview_is_prefetched(monkeypatch):
+def test_the_first_label_after_a_det_preview_is_prefetched(batched):
     """A det preview runs on the root of label replication 0 and draws
-    nothing, so it hashes no job key there: that replication's first
-    label is still batched."""
+    nothing, so it leaves no row for its environment keys: that
+    replication's first label is still batched."""
     inst, master, chrom = _setup()
-    calls = []
-    orig = _kernel.prefetch
-    monkeypatch.setattr(_kernel, "prefetch", lambda jobs, envs: (
-        calls.append(len(envs)), orig(jobs, envs)))
     cfg = PlannerConfig(label_reps=2)
     with rng.shared_draws():
         det_preview(inst, chrom, master, cfg)
-        assert calls == []
+        assert batched == []
         label_static_obj(inst, chrom, master, cfg)
-    assert calls == [len(inst.machines)] * cfg.label_reps
+    roots = [master.substream(NS_LABEL, r) for r in range(cfg.label_reps)]
+    assert sorted(batched) == sorted(k for root in roots
+                                     for k in _env_keys(inst, root))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reworkopt import _kernel, planner, rng
+from reworkopt import planner, rng
 from reworkopt._kernel import pure
 from reworkopt.encoding import decode, random_chromosome
 from reworkopt.improver import reschedule
@@ -197,23 +197,19 @@ def _setup():
     return inst, master, chrom
 
 
-def test_a_label_fills_the_tables_and_the_scope_exit_drops_them(monkeypatch):
+def test_a_label_fills_the_tables_and_the_scope_exit_drops_them(batched):
     inst, master, chrom = _setup()
     cfg = planner.PlannerConfig(label_reps=3)
-    prefetched = []
-    orig = _kernel.prefetch
-    monkeypatch.setattr(_kernel, "prefetch", lambda jobs, envs: (
-        prefetched.append(envs), orig(jobs, envs)))
     with rng.shared_draws():
         with rng.shared_draws():
             first = planner.label_static_obj(inst, chrom, master, cfg)
         assert len(rng._subkeys) == 3       # one table per replication root
-        assert len(prefetched) == 3         # each root's draws batched once
-        if _kernel.BACKEND == "pure":
-            assert pure._jobs
-            assert {k for envs in prefetched for k, _ in envs} <= set(
-                pure._uniforms)
+        # each machine of each root batched once
+        assert len(batched) == len(set(batched)) == 3 * len(inst.machines)
+        assert pure._jobs
+        assert set(batched) <= set(pure._uniforms)
         again = planner.label_static_obj(inst, chrom, master, cfg)
+        assert len(batched) == 3 * len(inst.machines)
     assert again == first
     assert _tables() == (None, None, None, None)
     assert planner.label_static_obj(inst, chrom, master, cfg) == first
