@@ -14,7 +14,8 @@
    2**64, as pure.py's masks take them; counters must be nonnegative
    and fit in 64 bits.  Hashing in machine words is cheap, so there is no
    shared_draws() memo here.  run_machine steps a row with the same step()
-   as job_step, so the event's arithmetic has one copy here. */
+   as job_step, so the event's arithmetic has one copy here; it stops
+   where maintenance is due and repairs only at a failing completion. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -437,8 +438,8 @@ struct machine {
     int suspended;
 };
 
-/* The corrective reset of a step starting at t, reported to resets as
-   (t, repair start, wear before). */
+/* The corrective reset at the completion of a step starting at t,
+   reported to resets as (t, completion, wear before). */
 static int
 reset(struct machine *m, double t, double w0, double t_cm, PyObject *resets)
 {
@@ -465,7 +466,7 @@ PyDoc_STRVAR(run_machine_doc,
 "            n_pm, suspended, cyc_jobs, cyc_busy, lt, end, q_count,\n"
 "            record=None)\n--\n\n"
 "Step one machine of a run up to its row's end or its first due\n"
-"preventive action; see pure.run_machine for the contract.  A list\n"
+"maintenance; see pure.run_machine for the contract.  A list\n"
 "record receives (row index, start, p, d, q, ups, eps, dv, du_m, du_p,\n"
 "w_before, w_after) of each stepped entry.\n\n"
 "Returns (i, stop, ectr, w, ready, last_start, maint_acc, n_pm, suspended,\n"
@@ -522,7 +523,7 @@ FASTCALL_KW(run_machine)
             goto fail;
         if (release > t)
             t = release;
-        if (!m.suspended && m.w / cap >= zeta && m.n_pm < n_u) {
+        if (m.w > cap || (!m.suspended && m.w / cap >= zeta && m.n_pm < n_u)) {
             if (!(stop = PyFloat_FromDouble(t)))
                 goto fail;
             break;
@@ -533,12 +534,6 @@ FASTCALL_KW(run_machine)
         Py_DECREF(job);
         if (idle && skip_idle) {
             i++;
-            m.lt = t;
-            continue;
-        }
-        if (m.w > cap) {
-            if (reset(&m, t, w0, t_cm, resets))
-                goto fail;
             m.lt = t;
             continue;
         }

@@ -428,8 +428,8 @@ def run_machine(row, i, mid, job_keys, ekey, ectr, det, skip_idle, cap, w0,
                 t_cm, zeta, n_u, w, ready, last_start, maint_acc, n_pm,
                 suspended, cyc_jobs, cyc_busy, lt, end, q_count, record=None):
     """Step machine mid of a run through row[i:], its state in locals,
-    up to the row's end or the first step at which a preventive action
-    is due.
+    up to the row's end or the first step at which maintenance is due:
+    a worn-out machine's repair or a preventive action.
 
     row holds the simulator's entries: each has release, job (None for
     an idle placeholder), eid, times[mid] (the nominal time o) and
@@ -437,20 +437,19 @@ def run_machine(row, i, mid, job_keys, ekey, ectr, det, skip_idle, cap, w0,
     key job_keys[e.eid] at counter 0 and the machine from (ekey, ectr);
     a det run draws nothing and reads no job key.  skip_idle skips idle
     placeholders instead of stepping them.  Per entry, in this order:
-    its start t = max(ready, release); a stop before it if a preventive
-    action is due (not suspended, w / cap >= zeta, n_pm < n_u); a
-    skipped placeholder; a corrective reset if w > cap; otherwise
-    job_step's event, a real job's completion counted into end,
-    q_count, cyc_jobs and cyc_busy, and a corrective reset at the
-    completion that crossed cap.  A reset at repair start `at` sets w to
-    w0, n_pm to 0, suspended to False, the cycle counts to 0, ready to
-    at + t_cm and adds t_cm to maint_acc.  lt is the start of the last
-    step taken.
+    its start t = max(ready, release); a stop before it if w > cap or a
+    preventive action is due (not suspended, w / cap >= zeta,
+    n_pm < n_u); a skipped placeholder; otherwise job_step's event, a
+    real job's completion counted into end, q_count, cyc_jobs and
+    cyc_busy, and a corrective reset at the completion that crossed
+    cap.  The reset sets w to w0, n_pm to 0, suspended to False, the
+    cycle counts to 0, ready to completion + t_cm and adds t_cm to
+    maint_acc.  lt is the start of the last step taken.
 
     Returns (i, stop, ectr, w, ready, last_start, maint_acc, n_pm,
     suspended, cyc_jobs, cyc_busy, lt, end, q_count, resets): stop is
     the due step's start or None at the row's end, and resets lists
-    (step start, repair start, wear before) of each reset in order.
+    (step start, completion, wear before) of each reset in order.
     When record is a list, each stepped entry appends (row index, start,
     p, d, q, ups, eps, dv, du_m, du_p, w_before, w_after) to it, the
     values as job_step returns them.
@@ -478,19 +477,12 @@ def run_machine(row, i, mid, job_keys, ekey, ectr, det, skip_idle, cap, w0,
         t = ready
         if ent.release > t:
             t = ent.release
-        if not suspended and w / cap >= zeta and n_pm < n_u:
+        if w > cap or not suspended and w / cap >= zeta and n_pm < n_u:
             stop = t
             break
         job = ent.job
         if job is None and skip_idle:
             i += 1
-            lt = t
-            continue
-        if w > cap:
-            resets.append((t, ready, w))
-            w, n_pm, suspended, cyc_jobs, cyc_busy = w0, 0, False, 0, 0.0
-            ready = ready + t_cm
-            maint_acc += t_cm
             lt = t
             continue
         dt = (t - last_start) - maint_acc

@@ -155,6 +155,8 @@ def score_archives(per_seed_points: dict[int, list], reference=None):
     The reference front defaults to the nondominated union of all seed
     archives; normalization bounds always span reference plus archives.
     """
+    if not per_seed_points:
+        raise InvalidOptionError("no seed archives to score")
     sets = [pts for pts in per_seed_points.values() if pts]
     if reference is None:
         pooled = [p for pts in sets for p in pts]

@@ -1,22 +1,14 @@
 """Maintenance policy: imperfect preventive actions, corrective resets,
-threshold triggering, joint grouping and the suspension screen.
+threshold triggering, the joint-action merge window and the suspension
+screen, applied at the simulator's due step (``simulate._Sim._take_due``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from operator import attrgetter
 
 from .model import MachineParams
-
-
-class UndefinedLifecycleStats(ValueError):
-    """Suspension screening asked for a ratio with a zero denominator.
-
-    Raised when the current life cycle has no completed jobs, no busy
-    time or no maintenance spend yet; the caller must treat this as
-    "do not suspend".
-    """
 
 
 @dataclass
@@ -54,17 +46,6 @@ class MaintenanceEvent:
     w_before: float = 0.0
     w_after: float = 0.0
     n_pm_after: int = 0
-
-
-@dataclass
-class PmGroup:
-    """A joint preventive action: members stop together."""
-
-    group_id: int
-    members: list[int]
-    start: float
-    duration: float
-    member_cost: dict[int, float] = field(default_factory=dict)
 
 
 def imperfect_pm(w: float, n_pm: int, theta: float, varphi: float) -> float:
@@ -109,37 +90,6 @@ def pm_window(machines: dict[int, MachineParams], psi: float) -> float:
     return psi * max(m.t_pm_full for m in machines.values())
 
 
-def group_pms(due: list[tuple[int, float]], machines: dict[int, MachineParams],
-              window: float, first_group_id: int = 0) -> list[PmGroup]:
-    """Merge due preventive actions into joint groups.
-
-    due holds (machine_id, ready_time) pairs and window comes from
-    pm_window; a group runs from the latest member ready time for the
-    longest member duration, and each member's setup cost is diluted by
-    the group size.
-    """
-    if not due:
-        return []
-    ordered = sorted(due, key=lambda x: (x[1], x[0]))
-    groups: list[PmGroup] = []
-    i = 0
-    gid = first_group_id
-    while i < len(ordered):
-        j = i + 1
-        while j < len(ordered) and ordered[j][1] - ordered[i][1] <= window:
-            j += 1
-        members = ordered[i:j]
-        start = max(t for _, t in members)
-        duration = max(machines[mid].t_pm_full for mid, _ in members)
-        cost = {mid: machines[mid].c_pm + machines[mid].c_ps / len(members)
-                for mid, _ in members}
-        groups.append(PmGroup(gid, [mid for mid, _ in members], start,
-                              duration, cost))
-        gid += 1
-        i = j
-    return groups
-
-
 def lifecycle_stats_defined(n_c: int, t_c: float, c_c: float) -> bool:
     """Can the suspension screen judge this life cycle?  It needs at
     least one completed job, some busy time and some maintenance spend
@@ -154,10 +104,8 @@ def pm_suspension_check(n_gain: int, n_c: int, t_c: float, c_c: float,
     n_gain is the projected extra job count the action buys over the
     rest of the life cycle; the action is suspended when that relative
     gain undercuts both the relative time and the relative cost of the
-    action itself.
+    action itself.  The caller checks lifecycle_stats_defined first:
+    the ratios need a judgeable life cycle.
     """
-    if not lifecycle_stats_defined(n_c, t_c, c_c):
-        raise UndefinedLifecycleStats(
-            f"life cycle stats not usable yet: n={n_c} t={t_c} c={c_c}")
     threshold = min(t_pm_full / t_c, c_pm_full / c_c)
     return n_gain / n_c < threshold

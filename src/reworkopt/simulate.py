@@ -28,13 +28,16 @@ SUFFIX, internal to suffix projections, skips placeholders and never
 reworks.
 
 One kernel entry, ``_kernel.run_machine``, steps every event: it runs
-one machine from its next entry, corrective resets included, up to the
-first step at which a preventive action is due.  Machines meet only at
-such due steps (grouping and screening), so STATIC and SUFFIX runs step
-each machine on its own and take the due steps in Python, in global
-(start, machine id) order (``_Sim._advance_machines``).  ONLINE runs
-consume completions in global time order and step the frontier entry
-alone (``_Sim._advance_online``).
+one machine from its next entry up to the first step at which
+maintenance is due, and repairs only at a completion that crossed the
+threshold.  Every decision taken before a step is the due step's
+(``_Sim._take_due``): skip an unfilled placeholder, repair a worn-out
+machine, or take a preventive action with grouping and screening.
+Machines meet only at due steps, so STATIC and SUFFIX runs step each
+machine on its own and take the due steps in global (start, machine id)
+order (``_Sim._advance_machines``).  ONLINE runs consume completions in
+global time order and step the frontier entry alone
+(``_Sim._advance_online``).
 
 Summary runs (SimConfig.summary: planner labels and suffix projections)
 build no job or idle events; their maintenance list and results match
@@ -59,7 +62,7 @@ from operator import attrgetter
 from . import _kernel
 from .encoding import Chromosome, SchedulePlan, decode
 from .maintenance import (MachineState, MaintenanceEvent, cm_required,
-                          corrective_maintenance, group_pms, imperfect_pm,
+                          corrective_maintenance, imperfect_pm,
                           lifecycle_stats_defined, pm_due,
                           pm_suspension_check, pm_window)
 from .model import InvalidInstanceError, Job, ObjectivePair, ProblemInstance
@@ -344,13 +347,17 @@ class _Sim:
 
     def _try_pm(self, mid: int, t: float, cands: Iterable[int]) -> list[int]:
         """Screening and grouping of a due preventive action; cands are
-        the machines that may join it.  Returns the machines it screened
-        or maintained, mid first; mid is suspended when the screen
-        switched its action off, and then no action was performed."""
+        the machines that may join it.  Those due and ready within the
+        merge window that pass their screens form one joint action with
+        mid: from the latest ready time, for the longest action, each
+        member paying its action and an equal share of the setup.
+        Returns the machines it screened or maintained, mid first; mid
+        is suspended when the screen switched its action off, and then
+        no action was performed."""
         g = self.inst.globals
         if self.cfg.prop2 and self._suspend_if_unprofitable(mid):
             return [mid]
-        due = [(mid, t)]
+        due = [(t, mid)]
         changed = [mid]
         for mid2 in cands:
             row = self.queues[mid2]
@@ -365,21 +372,24 @@ class _Sim:
             changed.append(mid2)
             if self.cfg.prop2 and self._suspend_if_unprofitable(mid2):
                 continue
-            due.append((mid2, st2.ready))
-        for grp in group_pms(due, self.machines, self.pm_window, self.next_gid):
-            self.next_gid += 1
-            for member in grp.members:
-                ms = self.states[member]
-                w_before = ms.w
-                ms.w = imperfect_pm(ms.w, ms.n_pm, g.theta, g.varphi)
-                ms.n_pm += 1
-                cost = grp.member_cost[member]
-                ms.cyc_cost += cost
-                self.maint_events.append(MaintenanceEvent(
-                    "pm", member, grp.start, grp.duration, cost, grp.group_id,
-                    w_before=w_before, w_after=ms.w, n_pm_after=ms.n_pm))
-                ms.ready = grp.start + grp.duration
-                ms.maint_acc += grp.duration
+            due.append((st2.ready, mid2))
+        due.sort()
+        start = due[-1][0]
+        duration = max(self.machines[m].t_pm_full for _, m in due)
+        gid = self.next_gid
+        self.next_gid += 1
+        for _, member in due:
+            mp, ms = self.machines[member], self.states[member]
+            cost = mp.c_pm + mp.c_ps / len(due)
+            w_before = ms.w
+            ms.w = imperfect_pm(ms.w, ms.n_pm, g.theta, g.varphi)
+            ms.n_pm += 1
+            ms.cyc_cost += cost
+            self.maint_events.append(MaintenanceEvent(
+                "pm", member, start, duration, cost, gid, w_before=w_before,
+                w_after=ms.w, n_pm_after=ms.n_pm))
+            ms.ready = start + duration
+            ms.maint_acc += duration
         return changed
 
     def _make_copies(self, at: float) -> list[_Ent]:
@@ -476,9 +486,8 @@ class _Sim:
     def _advance_online(self) -> None:
         """Step an ONLINE run in global time order until every queue is
         empty or a rework trigger is pending: at the frontier, consume
-        the completions up to its start, repair a worn-out machine
-        before a job, or else run its entry alone in the kernel, which
-        skips a placeholder and stops at a due preventive action."""
+        the completions up to its start, then run its entry alone in the
+        kernel and take the due step it stops at."""
         queues, ptr, states = self.queues, self.ptr, self.states
         while True:
             # frontier: earliest effective start, ties to the lowest id
@@ -491,20 +500,17 @@ class _Sim:
                 self._drain(t)
                 if self.pending_trigger is not None:
                     return
-            st = states[mid]
-            if (queues[mid][ptr[mid]].job is not None
-                    and st.w > self.machines[mid].cap):
-                self._apply_cm(mid, st.ready)
-            elif self._run_machine(mid, one=True) is not None:
+            if self._run_machine(mid, one=True) is not None:
                 self._take_due(mid, t, queues)
 
     def _run_machine(self, mid: int, one: bool = False) -> float | None:
         """Step machine mid on its own from its next entry (or that entry
         alone) in one kernel call, run_machine, up to its row's end or
-        the first step at which a preventive action is due, whose start
-        it returns (None at the end).  Repairs are logged at the steps
-        that needed them, steps as events unless the run is a summary
-        run, and an ONLINE run's completions go on the quality heap."""
+        the first step at which maintenance is due, whose start it
+        returns (None at the end).  Repairs at failing completions are
+        logged at the steps that needed them, steps as events unless the
+        run is a summary run, and an ONLINE run's completions go on the
+        quality heap."""
         st = self.states[mid]
         mp = self.machines[mid]
         erng = self.env[mid]
@@ -546,9 +552,11 @@ class _Sim:
         return stop
 
     def _take_due(self, mid: int, t: float, cands: Iterable[int]) -> list[int]:
-        """The due step of machine mid's stop at start t: a skipped idle
-        placeholder, a repair, or the preventive action that the
-        machines cands may join.  Returns the machines it changed; a
+        """The due step of machine mid's stop at start t, where every
+        maintenance decision taken before a step is made, in the
+        reference loop's order: skip an unfilled placeholder, repair a
+        machine past its threshold, or take the preventive action that
+        the machines cands may join.  Returns the machines it changed; a
         screened-off action leaves the step to _run_machine."""
         st = self.states[mid]
         changed = [mid]

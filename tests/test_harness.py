@@ -5,9 +5,10 @@ import pytest
 
 from reworkopt.harness import (ExperimentConfig, _padded_bounds,
                                collect_archives, nondominated, run_experiment,
-                               score_archives, seed_dir)
+                               score_archives, seed_dir,
+                               write_aggregate_report)
 from reworkopt.instances import generate_instance, toy_instance
-from reworkopt.model import InvalidInstanceError
+from reworkopt.model import InvalidInstanceError, InvalidOptionError
 from reworkopt.storage import save_instance
 
 
@@ -47,6 +48,14 @@ def test_score_archives_empty_seed_and_reference():
     assert math.isinf(agg["mean_igd"])
     with pytest.raises(ValueError):
         score_archives({0: []})
+
+
+def test_score_archives_refuses_no_seeds(tmp_path):
+    with pytest.raises(InvalidOptionError, match="no seed archives"):
+        score_archives({}, [(1.0, 1.0)])
+    with pytest.raises(InvalidOptionError, match="no seed archives"):
+        write_aggregate_report(tmp_path, {}, [(1.0, 1.0)])
+    assert not (tmp_path / "report.txt").exists()
 
 
 def test_score_archives_accepts_external_reference():

@@ -246,8 +246,8 @@ def test_the_run_machine_cases_reach_every_branch(built_core):
     r = random.Random(11)
     for k in range(300):
         case = _machine_case(r)
-        (i, stop, *_, resets), record = _assert_run_machine_equal(
-            built_core, case, k % 2)
+        (i, stop, _, w, _, _, _, n_pm, suspended, *_, resets), record = \
+            _assert_run_machine_equal(built_core, case, k % 2)
         taken = case["row"][case["i"]:i]
         if record:
             seen.add("recorded")
@@ -257,15 +257,20 @@ def test_the_run_machine_cases_reach_every_branch(built_core):
         seen |= {("det" if case["det"] else "random",
                   "scope" if k % 2 else "no scope")}
         seen.add("due stop" if stop is not None else "row end")
-        # a reset before a step starts its repair at or before the step
-        seen |= {"reset before" if at <= t else "reset after"
-                 for t, at, _ in resets}
+        # a machine past its threshold stops for its repair also when no
+        # preventive action is due; the kernel repairs only at the
+        # completion that crossed it
+        if (stop is not None and w > case["cap"]
+                and (suspended or n_pm >= case["n_u"])):
+            seen.add("over-cap stop")
+        assert all(at > t for t, at, _ in resets)
+        seen |= {"reset after" for _ in resets}
         seen |= {"idle skipped" if case["skip_idle"] else "idle stepped"
                  for e in taken if e.job is None}
         seen |= {"released" for e in taken if e.release > 0.0}
     assert seen >= {("det", "scope"), ("det", "no scope"),
                     ("random", "scope"), ("random", "no scope"),
-                    "due stop", "row end", "reset before", "reset after",
+                    "due stop", "row end", "over-cap stop", "reset after",
                     "idle skipped", "idle stepped", "released", "recorded"}
 
 

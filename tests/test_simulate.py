@@ -313,7 +313,8 @@ def _assert_summary_runs_match(inst, ch, seed, det, prop2):
     summary run, which builds no events, on every result, the
     maintenance list and the final machine states.  So must the online
     run of the plan, and full and summary suffix projections from every
-    trigger of it."""
+    trigger of it.  Returns the maintenance lists of the static, online
+    and suffix runs, in that order."""
     plan = decode(ch, inst)
     root = RngStream.from_seed(seed)
     full = simulate(inst, plan, root, SimConfig(det=det, prop2=prop2))
@@ -332,11 +333,13 @@ def _assert_summary_runs_match(inst, ch, seed, det, prop2):
         ctxs.append(ctx)
         return _fill(ctx)
 
-    online = SimConfig(mode=ONLINE, det=det, prop2=prop2, rescheduler=hook)
-    assert simulate(inst, plan, root.substream(1), online) == \
-        reference_simulate(inst, plan, root.substream(1),
-                           SimConfig(mode=ONLINE, det=det, prop2=prop2,
-                                     rescheduler=_fill))
+    online = simulate(inst, plan, root.substream(1),
+                      SimConfig(mode=ONLINE, det=det, prop2=prop2,
+                                rescheduler=hook))
+    assert online == reference_simulate(
+        inst, plan, root.substream(1),
+        SimConfig(mode=ONLINE, det=det, prop2=prop2, rescheduler=_fill))
+    runs = [full.maint_events, online.maint_events]
     for ctx in ctxs:
         for queues in (fill_idle_slots(ctx), append_copies(ctx)):
             ref = _suffix_sim(ctx, queues, False, ReferenceSim)
@@ -348,6 +351,8 @@ def _assert_summary_runs_match(inst, ch, seed, det, prop2):
             span, cost = ref.objectives(ctx.trigger_time)
             assert simulate_suffix(ctx, queues, ctx.rng) == (
                 span - ctx.trigger_time, cost, ref.q_count)
+            runs.append(ref.maint_events)
+    return runs
 
 
 def _generated(n_jobs, inst_seed, seed, idle, zeta, n_u, psi, thr_r):
@@ -537,6 +542,44 @@ def test_a_machine_past_its_threshold_can_still_join_a_group():
     assert [(ev.machine_id, ev.kind) for ev in joint] == [(1, "pm"), (0, "pm")]
     assert joint[1].w_before > inst.machine(0).cap
     _assert_summary_runs_match(inst, ch, 0, True, False)
+
+
+def _overworn_after_pm_case(n_u):
+    """Machine 0 falls due at t = 4 and 6.5.  Its second action in a life
+    cycle (theta 0.95, varphi 0.5) leaves it past its failure threshold,
+    and it is repaired before its next job: with n_u = 2 no action is
+    left, with n_u = 3 one is still due.  Machine 1 wears alike, and its
+    jobs never conform, so rework triggers and suffix projections start
+    while machine 0 has most of its jobs left."""
+    jobs = [Job(i, 0, {0: 1.0}) for i in range(12)] + [
+        Job(i, 1, {1: 1.0}) for i in range(12, 18)]
+    m = dict(w0=0.1, cap=1.0, mu_plus=0.1)
+    inst = ProblemInstance(jobs, [_flat(id=0, **m), _flat(id=1, **m)],
+                           {0: _GOOD, 1: _BAD},
+                           GlobalParams(0.0, 0.95, 0.5, 0.0))
+    ch = _chrom([0] * 12 + [1] * 6, [i / 18 for i in range(18)],
+                zeta=0.5, psi=0.0, n_u=n_u, thr_r=0.3)
+    return inst, ch
+
+
+@pytest.mark.parametrize("n_u", [2, 3])
+@pytest.mark.parametrize("det", [True, False])
+def test_a_repair_after_a_preventive_action_matches_the_reference(n_u, det):
+    """A machine that a preventive action leaves past its threshold
+    starts its next step over it: every mode repairs it there as the
+    reference loop does, whether or not an action is still due."""
+    inst, ch = _overworn_after_pm_case(n_u)
+    runs = _assert_summary_runs_match(inst, ch, 0, det, False)
+    assert len(runs) > 2                      # suffix projections ran
+    for events in runs:
+        kinds = {}
+        reached = False
+        for ev in events:
+            if (ev.kind == "cm" and kinds.get(ev.machine_id) == "pm"
+                    and ev.w_before > inst.machine(ev.machine_id).cap):
+                reached = True
+            kinds[ev.machine_id] = ev.kind
+        assert reached
 
 
 def test_the_summary_corpus_reaches_every_machine_interaction(monkeypatch):
