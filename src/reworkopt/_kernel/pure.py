@@ -20,7 +20,12 @@ While it is open, the standard normal behind ``normal`` and gamma's
 uniforms are kept in per-key tables by counter, and a real job's
 job-stream draws in ``job_step`` by stream position, with the type spec
 they were drawn for (all label replications of a scope replay the same
-job keys).  No value can change: a memo is used only for the very
+job keys).  An unowned scope drops its tables at its end.  An owned
+scope (the planner owns its scopes by its master key, so every call of
+one run replays the same label worlds) keeps them in one slot at its
+end, and the next scope of the same owner starts from them; a scope of
+another owner replaces them, and a raise drops them.  No value can
+change, whichever scope filled a table: a memo is used only for the very
 inputs of its draws, it holds the very doubles the expressions
 produced, and the wear increments are recomputed at each call from the
 kept standard normals.  The memos spare the big-integer hashing and
@@ -30,8 +35,8 @@ hashes in machine words and needs no such memo, so it has none; its
 backends.
 
 A machine's first draws come in one batch: when a stochastic
-``run_machine`` starts inside a scope on an environment key no run of
-the scope has drawn from (the first label replication of a scope, the
+``run_machine`` starts inside a scope on an environment key its tables
+hold no row for (the first label replication of a planning run, the
 first projection of a trigger), it hashes the first ticks of that key
 and of its row's real jobs' keys at once (``_prefetch``), in the 128-bit
 lanes of one Python int (``_mix64_lanes``: exact, so every uniform is
@@ -139,31 +144,42 @@ def _u01_lanes(groups):
 _normals = None
 _uniforms = None
 _jobs = None
+# (owner, tables) the last owned outermost scope left, or None
+_kept = None
 
 
 @contextmanager
-def shared_draws():
+def shared_draws(owner=None):
     """Scope in which repeated (key, ctr) draws are computed once.
 
-    Re-entrant: a nested scope keeps the outer tables, and the outermost
-    exit drops them, also when the body raises.  The tables grow with
-    what the scope draws, so open it only around work that replays the
-    same streams.
+    Re-entrant: a nested scope keeps the outer tables.  The outermost
+    scope starts from the tables the last owned scope kept when both
+    have the same owner, and keeps its own at exit if it has one; an
+    unowned scope or a raise drops them.  The tables grow with what the
+    scopes of one owner draw, so open them only around work that
+    replays the same streams.
     """
-    global _normals, _uniforms, _jobs
+    global _normals, _uniforms, _jobs, _kept
     outer = _normals, _uniforms, _jobs
     if _normals is None:
-        _normals, _uniforms, _jobs = {}, {}, {}
+        tables = {}, {}, {}
+        if owner is not None:
+            kept, _kept = _kept, None
+            if kept is not None and kept[0] == owner:
+                tables = kept[1]
+        _normals, _uniforms, _jobs = tables
     try:
         yield
+        if outer[0] is None and owner is not None:
+            _kept = owner, (_normals, _uniforms, _jobs)
     finally:
         _normals, _uniforms, _jobs = outer
 
 
 def _prefetch(row, i, mid, job_keys, ekey):
     """Fill the open scope's tables at once for machine mid's stochastic
-    run of row[i:] from environment key ekey, which no run of the scope
-    has drawn from yet.
+    run of row[i:] from environment key ekey, for which they hold no row
+    yet.
 
     Every value is the one its scalar draw gives.  Each real job of
     row[i:] gets _jobs[jkey, 0] = _job_draws(jkey, 0, spec) from ticks
@@ -457,7 +473,7 @@ def run_machine(row, i, mid, job_keys, ekey, ectr, det, skip_idle, cap, w0,
     The event is job_step's and the environment draw gamma's, expression
     for expression and in the same order; the shared-draw tables are
     read as those functions read them, once _prefetch has filled them
-    for a stochastic run on an ekey the open scope has no row for (it
+    for a stochastic run on an ekey the open tables have no row for (it
     reads the key of every real job of row[i:]).  tests/test_simulate.py
     pins this copy to job_step through its reference loop, and
     tests/test_kernel_parity.py pins the compiled twin to it.

@@ -390,9 +390,11 @@ def emode_step(pop: list[Individual], iteration: int, max_iter: int,
 
 def init_population(inst: ProblemInstance, idle_types: tuple[int, ...],
                     master: RngStream, cfg: PlannerConfig) -> list[Individual]:
+    """cfg.pop_size random chromosomes, labeled.  The labels share
+    their draws in a scope owned by the master key, as plan's do."""
     irng = master.substream(NS_SEARCH, 0)
     pop = []
-    with shared_draws():
+    with shared_draws(master.key):
         for _ in range(cfg.pop_size):
             ch = random_chromosome(inst, idle_types, irng, cfg.bounds)
             lbl, obj = label_static_obj(inst, ch, master, cfg)
@@ -412,12 +414,14 @@ def plan(inst: ProblemInstance, iters: int, master: RngStream,
     label, mean label).  An existing population can be passed in to
     continue a previous run (iter_offset keeps the control value on its
     global decay path).  Every label replays the same replication
-    worlds, so the run shares their draws.
+    worlds, so the run shares their draws, in a scope owned by the master
+    key: a later call with the same master reads back the draws the last
+    one kept (see rng.shared_draws).
     """
     cfg = cfg or PlannerConfig()
     max_iter = max_iter or (iter_offset + iters)
     history = []
-    with shared_draws():
+    with shared_draws(master.key):
         if pop is None:
             pop = init_population(inst, idle_types, master, cfg)
         for k in range(iters):

@@ -56,20 +56,31 @@ class _Subkeys(dict):
 # subkey tables of the open shared_draws() scope by stream key; None
 # outside a scope, so nothing is kept there
 _subkeys: dict[int, _Subkeys] | None = None
+# (owner, subkey tables) the last owned outermost scope left, or None
+_kept: tuple[object, dict[int, _Subkeys]] | None = None
 
 
 @contextmanager
-def shared_draws():
+def shared_draws(owner=None):
     """The kernel's shared_draws() scope, in which subkeys() tables are
     shared by stream key too, so runs that replay one root hash each
-    entity's key once.  Re-entrant; the outermost exit drops them."""
-    global _subkeys
+    entity's key once.  Re-entrant.  The outermost scope starts from the
+    tables the last owned scope kept when both have the same owner, and
+    keeps its own at exit if it has one; an unowned scope or a raise
+    drops them.  Planning owns its scopes by its master key."""
+    global _subkeys, _kept
     outer = _subkeys
     if outer is None:
         _subkeys = {}
+        if owner is not None:
+            kept, _kept = _kept, None
+            if kept is not None and kept[0] == owner:
+                _subkeys = kept[1]
     try:
-        with _kernel.shared_draws():
+        with _kernel.shared_draws(owner):
             yield
+        if outer is None and owner is not None:
+            _kept = owner, _subkeys
     finally:
         _subkeys = outer
 

@@ -252,8 +252,9 @@ class _Sim:
         self.next_gid = 0
         self.prop2_checks: dict[int, int] = {mid: 0 for mid in queues}
         self.pending_trigger: float | None = None
-        # per-machine stepping: the start of each machine's last step,
-        # and the step (start, machine id) behind each maintenance event
+        # STATIC and SUFFIX stepping: the start of each machine's last
+        # step, and the step (start, machine id) behind each maintenance
+        # event, by which those runs order their records
         self.last = {mid: -math.inf for mid in queues}
         self.maint_keys: list[tuple[float, int]] = []
 
@@ -548,7 +549,8 @@ class _Sim:
             st.cyc_cost = 0.0
             for t, at, w_before in resets:
                 self._log_cm(mid, at, w_before)
-                self.maint_keys.append((t, mid))
+                if not online:
+                    self.maint_keys.append((t, mid))
         return stop
 
     def _take_due(self, mid: int, t: float, cands: Iterable[int]) -> list[int]:
@@ -569,9 +571,10 @@ class _Sim:
             changed = self._try_pm(mid, t, cands)
             if st.suspended:
                 return changed
-        self.maint_keys.extend(
-            [(t, mid)] * (len(self.maint_events) - len(self.maint_keys)))
-        self.last[mid] = t
+        if self.cfg.mode != ONLINE:
+            self.maint_keys.extend(
+                [(t, mid)] * (len(self.maint_events) - len(self.maint_keys)))
+            self.last[mid] = t
         return changed
 
     def objectives(self, default: float) -> tuple[float, float]:

@@ -321,7 +321,8 @@ from reworkopt import _kernel
 from reworkopt.encoding import GeneBounds, decode, random_chromosome
 from reworkopt.improver import make_rescheduler
 from reworkopt.instances import generate_instance, toy_instance
-from reworkopt.planner import PlannerConfig, det_preview, label_static_obj
+from reworkopt.planner import (PlannerConfig, det_preview, label_static_obj,
+                               plan)
 from reworkopt.rng import RngStream, shared_draws
 from reworkopt.simulate import (ONLINE, SimConfig, append_copies,
                                 fill_idle_slots, simulate, simulate_suffix)
@@ -365,6 +366,15 @@ for ctx in ctxs:
         for queues in (fill_idle_slots(ctx), append_copies(ctx)):
             h.update(repr(simulate_suffix(ctx, queues, ctx.rng)).encode())
 h.update(repr(len(ctxs)).encode())
+# two planning calls of one run: the second reads the draws the first kept
+master = RngStream.from_seed(3)
+cfg = PlannerConfig(pop_size=4, label_reps=2)
+pop = None
+for k in range(2):
+    pop, hist = plan(inst, 1, master, cfg, (0, 1), pop=pop, iter_offset=k,
+                     max_iter=2)
+    h.update(repr([(ind.chrom.digest(), ind.label, ind.obj) for ind in pop]
+                  + hist).encode())
 print(_kernel.BACKEND, h.hexdigest(), repr(tr.makespan), repr(tr.maint_cost))
 """
 

@@ -1,24 +1,28 @@
-"""Shared-draw scopes change no value and keep nothing past their end.
+"""Shared-draw scopes change no value; unowned scopes keep nothing past
+their end, and owned ones keep the tables of one owner only.
 
 Inside ``shared_draws()`` the pure kernel reads repeated (key, ctr)
 draws back from per-key tables and a real job's job-stream draws back
 from a table by stream position and type spec; ``rng.shared_draws()``
 adds job keys by stream.  Every result must be the one computed outside
 a scope, on a first call and on a repeated call alike, also when draws
-of different kinds land on the same counters of one key and when one
-job stream position is reached under different type specs.
+of different kinds land on the same counters of one key, when one job
+stream position is reached under different type specs, and when an
+owned scope starts from the tables an earlier scope of its owner kept.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reworkopt import planner, rng
+from reworkopt import _kernel, planner, rng
 from reworkopt._kernel import pure
 from reworkopt.encoding import decode, random_chromosome
 from reworkopt.improver import reschedule
 from reworkopt.instances import generate_instance
-from reworkopt.rng import NS_INIT, NS_ONLINE, RngStream
+from reworkopt.orchestrator import DpeiaConfig, dpeia
+from reworkopt.rng import (NS_ENV, NS_INIT, NS_JOB, NS_LABEL, NS_ONLINE,
+                           RngStream)
 from reworkopt.simulate import ONLINE, SimConfig, idle_space_count, simulate
 
 # job_step's arguments from eta on, of one machine and one type
@@ -187,12 +191,16 @@ def test_tables_are_dropped_when_the_body_raises():
         assert pure._jobs == {}
 
 
+def _idle_types(inst, master):
+    counts = idle_space_count(inst, master.substream(NS_INIT))
+    return tuple(t for t in sorted(counts) for _ in range(counts[t]))
+
+
 def _setup():
     inst = generate_instance(30, 1)
     master = RngStream.from_seed(4)
-    counts = idle_space_count(inst, master.substream(NS_INIT))
-    idle_types = tuple(t for t in sorted(counts) for _ in range(counts[t]))
-    chrom = random_chromosome(inst, idle_types, master.substream(NS_INIT, 1))
+    chrom = random_chromosome(inst, _idle_types(inst, master),
+                              master.substream(NS_INIT, 1))
     chrom.thr_r = 0.2
     return inst, master, chrom
 
@@ -240,4 +248,170 @@ def test_an_online_execution_runs_outside_any_scope():
              SimConfig(mode=ONLINE, rescheduler=hook))
     assert seen
     assert set(seen) == {(None, None, None, None)}
+    assert _tables() == (None, None, None, None)
+
+
+# -- owned scopes: the planner's tables kept from one call to the next --
+
+PLAN_CFG = planner.PlannerConfig(pop_size=3, label_reps=2)
+
+
+@pytest.fixture
+def cold(batched, monkeypatch):
+    """No owned scope has kept tables yet; simulations step through the
+    pure kernel (see batched), whose environment-key batches it lists."""
+    monkeypatch.setattr(rng, "_kept", None)
+    monkeypatch.setattr(pure, "_kept", None)
+    return batched
+
+
+def _plan(inst, master):
+    """One planning call of one generation, as the benchmark makes."""
+    return planner.plan(inst, 1, master, PLAN_CFG, _idle_types(inst, master))
+
+
+def _labels(inst, master, chroms):
+    return [repr(planner.label_static_obj(inst, ch, master, PLAN_CFG))
+            for ch in chroms]
+
+
+def _warm_labels(inst, master, chroms):
+    """Labels in a scope that master owns, which starts from the tables
+    the last scope it owned kept; none of its runs batches a first draw
+    then, as every environment key of the label worlds is kept."""
+    with rng.shared_draws(master.key):
+        n = len(pure._uniforms)
+        labels = _labels(inst, master, chroms)
+        assert len(pure._uniforms) == n
+    return labels
+
+
+def _chroms(inst, master, n=3):
+    irng = master.substream(NS_INIT, 2)
+    return [random_chromosome(inst, _idle_types(inst, master), irng)
+            for _ in range(n)]
+
+
+def _kept_keys():
+    """The keys the slots of both modules hold tables under."""
+    normals, uniforms, jobs = pure._kept[1]
+    return (set(rng._kept[1]), set(normals) | set(uniforms),
+            {k for k, _ in jobs})
+
+
+def test_a_later_plan_reads_the_kept_tables_and_changes_no_value(cold):
+    inst, master, _ = _setup()
+    pop, _ = _plan(inst, master)
+    assert rng._kept[0] == pure._kept[0] == master.key
+    chroms = [ind.chrom for ind in pop] + _chroms(inst, master)
+    assert _warm_labels(inst, master, chroms) == _labels(inst, master, chroms)
+    n = len(cold)
+    # the second call of a run, warm, and the same call from cold tables
+    warm, _ = planner.plan(inst, 1, master, PLAN_CFG, (), pop=pop,
+                           iter_offset=1, max_iter=2)
+    assert len(cold) == n
+    rng._kept = pure._kept = None
+    again, _ = planner.plan(inst, 1, master, PLAN_CFG, (), pop=pop,
+                            iter_offset=1, max_iter=2)
+    assert len(cold) > n
+    assert [(i.chrom.digest(), repr(i.label), repr(i.obj)) for i in warm] == [
+        (i.chrom.digest(), repr(i.label), repr(i.obj)) for i in again]
+
+
+def test_kept_job_draws_of_another_instance_are_drawn_again(cold):
+    """Another instance planned from the same seed replays the same job
+    keys under other type specs: each job's draws are checked against
+    its spec, not read back blindly."""
+    inst, master, _ = _setup()
+    _plan(inst, master)
+    other = generate_instance(30, 1, sigma_q=0.1)
+    chroms = _chroms(other, master)
+    kept_jobs = pure._kept[1][2]
+    job_keys = master.substream(NS_LABEL, 0).substream(NS_JOB).subkeys()
+    specs = {kept_jobs[job_keys[e], 0][0] for e in range(inst.n_jobs)
+             if (job_keys[e], 0) in kept_jobs}
+    assert specs and all(q.sigma_q not in {s[3] for s in specs}
+                         for q in other.quality.values())
+    assert _warm_labels(other, master, chroms) == _labels(other, master,
+                                                          chroms)
+
+
+def test_interleaved_masters_change_no_value(cold):
+    inst, a, _ = _setup()
+    b = RngStream.from_seed(5)
+    for master in (a, b, a):
+        _plan(inst, master)
+    assert rng._kept[0] == pure._kept[0] == a.key
+    chroms = _chroms(inst, a)
+    assert _warm_labels(inst, a, chroms) == _labels(inst, a, chroms)
+
+
+def test_a_second_dpeia_run_from_kept_tables_repeats_the_first(cold):
+    inst = generate_instance(15, 2)
+    cfg = DpeiaConfig(pop_size=4, max_iter=4, n_rounds=2, label_reps=2)
+    runs, batches = [], []
+    for _ in range(2):
+        n = len(cold)
+        runs.append(dpeia(inst, cfg, seed=3))
+        batches.append(len(cold) - n)
+    assert rng._kept[0] == RngStream.from_seed(3).key
+    assert batches[1] < batches[0]
+    a, b = ([(repr(e.objectives), e.digest, repr(e.f_eva), e.round_index,
+              e.elite_index) for e in r.archive.entries] for r in runs)
+    assert a and a == b
+    assert runs[0].sim_calls == runs[1].sim_calls
+    assert runs[0].rounds_log == runs[1].rounds_log
+
+
+def test_the_slot_keeps_one_owner(cold):
+    inst, a, _ = _setup()
+    roots = [a.substream(NS_LABEL, r) for r in range(PLAN_CFG.label_reps)]
+    env = {root.substream(NS_ENV, m.id).key
+           for root in roots for m in inst.machines}
+    streams = {root.substream(NS_JOB).key for root in roots}
+    _plan(inst, a)
+    jobs = {k for s in streams for k in rng._kept[1][s].values()}
+    subkeys, draws, job_draws = _kept_keys()
+    assert streams <= subkeys and env <= draws and jobs & job_draws
+    _plan(inst, RngStream.from_seed(5))
+    assert rng._kept[0] == pure._kept[0] == RngStream.from_seed(5).key
+    subkeys, draws, job_draws = _kept_keys()
+    assert not streams & subkeys
+    assert not (env | jobs) & draws
+    assert not jobs & job_draws
+
+
+def test_an_unowned_scope_between_plans_leaves_the_slot_alone(
+        cold, monkeypatch):
+    """The projections of an online execution's reschedules, in unowned
+    scopes, neither read nor change the tables the planner kept."""
+    inst, master, chrom = _setup()
+    _plan(inst, master)
+    kept = rng._kept, pure._kept
+    before = _kept_keys(), [len(t) for t in pure._kept[1]]
+    seen = []
+
+    def run_machine(*args):
+        seen.append(pure._uniforms)
+        return pure.run_machine(*args)
+
+    monkeypatch.setattr(_kernel, "run_machine", run_machine)
+    simulate(inst, decode(chrom, inst), master.substream(NS_ONLINE, 0, 0),
+             SimConfig(mode=ONLINE,
+                       rescheduler=lambda ctx: reschedule(ctx, 2)))
+    projected = [t for t in seen if t is not None]
+    assert projected and all(t is not kept[1][1][1] for t in projected)
+    assert rng._kept is kept[0] and pure._kept is kept[1]
+    assert (_kept_keys(), [len(t) for t in pure._kept[1]]) == before
+
+
+def test_a_raise_in_an_owned_scope_leaves_no_slot(cold):
+    inst, master, chrom = _setup()
+    _plan(inst, master)
+    assert rng._kept and pure._kept
+    with pytest.raises(RuntimeError):
+        with rng.shared_draws(master.key):
+            planner.label_static_obj(inst, chrom, master, PLAN_CFG)
+            raise RuntimeError("boom")
+    assert rng._kept is None and pure._kept is None
     assert _tables() == (None, None, None, None)

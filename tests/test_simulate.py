@@ -618,3 +618,27 @@ def test_the_summary_corpus_reaches_every_machine_interaction(monkeypatch):
         _assert_summary_runs_match(inst, ch, k + 1, r.uniform() < 0.3,
                                    r.uniform() < 0.7)
     assert seen["groups"] > 0 and seen["own"] > 0
+
+
+def test_only_static_and_suffix_runs_keep_step_keys(monkeypatch):
+    """The (step start, machine id) behind each maintenance event orders
+    the records of a machine-by-machine run; an ONLINE run steps in
+    global time order and keeps none."""
+    sims = []
+    trace = _Sim.trace
+
+    def kept(self):
+        sims.append(self)
+        return trace(self)
+
+    monkeypatch.setattr(_Sim, "trace", kept)
+    inst = generate_instance(30, 1)
+    ch = random_chromosome(inst, (0, 1), RngStream.from_seed(3))
+    ch.thr_r = 0.2
+    _run(inst, ch, STATIC, seed=5)
+    _run(inst, ch, ONLINE, seed=5, rescheduler=make_rescheduler(2))
+    static, online = sims
+    assert static.maint_events and online.maint_events
+    assert len(static.maint_keys) == len(static.maint_events)
+    assert online.maint_keys == []
+    assert online.resched_points
