@@ -5,9 +5,9 @@ hand-written C twin in ``_core.c`` mirrors its arithmetic expression by
 expression.  Every arithmetic expression here is a contract: evaluation
 order must not change, or the two backends stop being bit-identical.
 The kernel API is ``mix64``, ``u01``, ``job_step`` and ``run_machine``
-on both backends, plus ``shared_draws`` here; ``normal``, ``gamma`` and
-``truncated_normal`` are the draws ``job_step`` is built on, which the
-C twin keeps inside its step.
+on both backends; ``normal``, ``gamma`` and ``truncated_normal`` are
+the draws ``job_step`` is built on, which the C twin keeps inside its
+step, and ``use_tables`` takes the tables of a shared-draw scope.
 
 RNG scheme: splitmix64-style hash of (key, counter).  Each uniform draw
 consumes one counter tick; derived draws consume a deterministic (data
@@ -15,24 +15,18 @@ independent per attempt) number of ticks, so identical (key, ctr) inputs
 give identical outputs on both backends.
 
 Shared draws: callers that replay the same worlds many times (planner
-labels, suffix projections of one trigger) open ``shared_draws()``.
-While it is open, the standard normal behind ``normal`` and gamma's
-uniforms are kept in per-key tables by counter, and a real job's
-job-stream draws in ``job_step`` by stream position, with the type spec
-they were drawn for (all label replications of a scope replay the same
-job keys).  An unowned scope drops its tables at its end.  An owned
-scope (the planner owns its scopes by its master key, so every call of
-one run replays the same label worlds) keeps them in one slot at its
-end, and the next scope of the same owner starts from them; a scope of
-another owner replaces them, and a raise drops them.  No value can
-change, whichever scope filled a table: a memo is used only for the very
-inputs of its draws, it holds the very doubles the expressions
-produced, and the wear increments are recomputed at each call from the
-kept standard normals.  The memos spare the big-integer hashing and
-Python-level sampling that dominate this module.  The compiled twin
-hashes in machine words and needs no such memo, so it has none; its
-``shared_draws`` is a no-op, and the kernel API is the same on both
-backends.
+labels, suffix projections of one trigger) open ``rng.shared_draws()``,
+which hands this module its draw tables (``use_tables``) and owns them.
+While they are in use, the standard normal behind ``normal`` and
+gamma's uniforms are kept in per-key tables by counter, and a real
+job's job-stream draws in ``job_step`` by stream position, with the
+type spec they were drawn for.  No value can change, whichever scope
+filled a table: a memo is used only for the very inputs of its draws,
+it holds the very doubles the expressions produced, and the wear
+increments are recomputed at each call from the kept standard normals.
+The memos spare the big-integer hashing and Python-level sampling that
+dominate this module.  The compiled twin hashes in machine words and
+needs no such memo, so it reads no tables.
 
 A machine's first draws come in one batch: when a stochastic
 ``run_machine`` starts inside a scope on an environment key its tables
@@ -67,7 +61,6 @@ which calls the compiled step itself, to it bit for bit.
 import math
 import sys
 from array import array
-from contextlib import contextmanager
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -137,43 +130,23 @@ def _u01_lanes(groups):
     return [(z + 0.5) * _INV_2_53 for z in _mix64_lanes(x, n, 11)]
 
 
-# Draw tables of the open shared_draws() scope: key -> array('d') of
+# Draw tables of the open shared-draw scope: key -> array('d') of
 # values by counter, NaN where nothing was drawn yet (no draw is NaN),
 # and the job-stream draws of real jobs by stream position.
 # None outside a scope, so nothing is stored there.
 _normals = None
 _uniforms = None
 _jobs = None
-# (owner, tables) the last owned outermost scope left, or None
-_kept = None
 
 
-@contextmanager
-def shared_draws(owner=None):
-    """Scope in which repeated (key, ctr) draws are computed once.
-
-    Re-entrant: a nested scope keeps the outer tables.  The outermost
-    scope starts from the tables the last owned scope kept when both
-    have the same owner, and keeps its own at exit if it has one; an
-    unowned scope or a raise drops them.  The tables grow with what the
-    scopes of one owner draw, so open them only around work that
-    replays the same streams.
-    """
-    global _normals, _uniforms, _jobs, _kept
-    outer = _normals, _uniforms, _jobs
-    if _normals is None:
-        tables = {}, {}, {}
-        if owner is not None:
-            kept, _kept = _kept, None
-            if kept is not None and kept[0] == owner:
-                tables = kept[1]
-        _normals, _uniforms, _jobs = tables
-    try:
-        yield
-        if outer[0] is None and owner is not None:
-            _kept = owner, (_normals, _uniforms, _jobs)
-    finally:
-        _normals, _uniforms, _jobs = outer
+def use_tables(tables):
+    """Read and fill the draw tables (normals, uniforms, jobs) from now
+    on, or none when tables is None.  rng.shared_draws() hands them
+    over."""
+    global _normals, _uniforms, _jobs
+    if tables is None:
+        tables = None, None, None
+    _normals, _uniforms, _jobs = tables
 
 
 def _prefetch(row, i, mid, job_keys, ekey):

@@ -11,14 +11,14 @@ Every verb derives all randomness from its --seed / --seeds flags.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import __version__, storage
 from .encoding import GeneBounds, decode, random_chromosome
 from .gantt import export_gantt
-from .harness import (ExperimentConfig, collect_archives, load_reference,
-                      nondominated, run_experiment, write_aggregate_report)
+from .harness import (ExperimentConfig, collect_archive_rows,
+                      collect_archives, load_reference, nondominated,
+                      run_experiment, write_aggregate_report)
 from .improver import make_rescheduler
 from .instances import generate_instance, oracle_toy, toy_instance
 from .model import InvalidInstanceError, InvalidOptionError
@@ -92,12 +92,9 @@ def _cmd_gantt(args):
 
 
 def _cmd_pareto(args):
-    per_seed_points = collect_archives(args.run_dir, args.seeds)
-    rows = []
-    for seed in sorted(per_seed_points):
-        for _, cmax, cost, digest in storage.load_archive(
-                os.path.join(args.run_dir, "seed-%d" % seed, "archive.tsv")):
-            rows.append((seed, cmax, cost, digest))
+    archives = collect_archive_rows(args.run_dir, args.seeds)
+    rows = [(seed, cmax, cost, digest) for seed in sorted(archives)
+            for _, cmax, cost, digest in archives[seed]]
     front = set(nondominated([(r[1], r[2]) for r in rows]))
     pooled = [r for r in rows if (r[1], r[2]) in front]
     storage.save_archive(pooled, args.out)

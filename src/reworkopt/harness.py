@@ -197,21 +197,24 @@ def load_reference(path) -> list:
     return points
 
 
-def collect_archives(outdir, seeds=None) -> dict[int, list]:
-    """Read per-seed archive files back as {seed: [(c_max, cost), ...]};
-    a run directory without seed-* archives is refused."""
-    out: dict[int, list] = {}
+def collect_archive_rows(outdir, seeds=None) -> dict[int, list]:
+    """Read per-seed archive files back as {seed: archive rows}; a run
+    directory without seed-* archives is refused."""
     if seeds is None:
         seeds = sorted(int(name.split("-", 1)[1])
                        for name in os.listdir(outdir)
                        if name.startswith("seed-"))
         if not seeds:
             raise InvalidOptionError(f"{outdir} holds no seed-* archives")
-    for seed in seeds:
-        rows = storage.load_archive(os.path.join(seed_dir(outdir, seed),
-                                                 "archive.tsv"))
-        out[seed] = [(cmax, cost) for _, cmax, cost, _ in rows]
-    return out
+    return {seed: storage.load_archive(os.path.join(seed_dir(outdir, seed),
+                                                    "archive.tsv"))
+            for seed in seeds}
+
+
+def collect_archives(outdir, seeds=None) -> dict[int, list]:
+    """Per-seed archive files as {seed: [(c_max, cost), ...]}."""
+    return {seed: [(cmax, cost) for _, cmax, cost, _ in rows]
+            for seed, rows in collect_archive_rows(outdir, seeds).items()}
 
 
 def write_aggregate_report(outdir, per_seed_points, reference=None) -> str:

@@ -88,6 +88,14 @@ def _real_positions(row) -> list[int]:
     return [i for i, e in enumerate(row) if e.job is not None]
 
 
+def _ready_times(ctx: RescheduleContext, queues) -> dict:
+    """When each machine would free up: its ready time plus the nominal
+    times of the real jobs queued on it."""
+    return {mid: ctx.states[mid].ready
+            + sum(e.job.nominal_times[mid] for e in row if e.job is not None)
+            for mid, row in queues.items()}
+
+
 def reschedule(ctx: RescheduleContext, budget: int,
                counter: list | None = None):
     """Pick a suffix plan for the pending work plus the rework copies.
@@ -107,9 +115,7 @@ def reschedule(ctx: RescheduleContext, budget: int,
         if f_append > best_f:
             best, best_f = base_append, f_append
         cur, cur_f = best, best_f
-        est = {mid: ctx.states[mid].ready
-               + sum(e.job.nominal_times[mid] for e in row if e.job is not None)
-               for mid, row in cur.items()}
+        est = _ready_times(ctx, cur)
         for it in range(1, budget + 1):
             cand = {mid: list(row) for mid, row in cur.items()}
             if it % 2 == 1:
@@ -145,10 +151,7 @@ def reschedule(ctx: RescheduleContext, budget: int,
             f = _score(ctx, cand, counter, seen)
             if f > cur_f:
                 cur, cur_f = cand, f
-                est = {mid: ctx.states[mid].ready
-                       + sum(e.job.nominal_times[mid]
-                             for e in row if e.job is not None)
-                       for mid, row in cur.items()}
+                est = _ready_times(ctx, cur)
             if f > best_f:
                 best, best_f = cand, f
     return best, best_f

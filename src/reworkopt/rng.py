@@ -18,6 +18,7 @@ from contextlib import contextmanager
 from functools import lru_cache
 
 from . import _kernel
+from ._kernel import pure
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -53,36 +54,53 @@ class _Subkeys(dict):
         return k
 
 
-# subkey tables of the open shared_draws() scope by stream key; None
-# outside a scope, so nothing is kept there
-_subkeys: dict[int, _Subkeys] | None = None
-# (owner, subkey tables) the last owned outermost scope left, or None
-_kept: tuple[object, dict[int, _Subkeys]] | None = None
+# tables of the open shared_draws() scope: subkey tables by stream key,
+# then the pure kernel's normals, uniforms and jobs (see pure.use_tables);
+# None outside a scope, so nothing is kept there
+_scope: tuple[dict[int, _Subkeys], dict, dict, dict] | None = None
+# (owner, scope tables) the last owned outermost scope left, or None
+_kept: tuple[object, tuple] | None = None
 
 
 @contextmanager
 def shared_draws(owner=None):
-    """The kernel's shared_draws() scope, in which subkeys() tables are
-    shared by stream key too, so runs that replay one root hash each
-    entity's key once.  Re-entrant.  The outermost scope starts from the
-    tables the last owned scope kept when both have the same owner, and
-    keeps its own at exit if it has one; an unowned scope or a raise
-    drops them.  Planning owns its scopes by its master key."""
-    global _subkeys, _kept
-    outer = _subkeys
+    """Scope in which runs that replay the same worlds share their draws.
+
+    Inside it, subkeys() tables are shared by stream key, so each
+    entity's key is hashed once, and the pure kernel keeps every draw it
+    computes in tables by (key, counter) and a job's draws by stream
+    position and type spec (see pure.use_tables); the compiled kernel
+    reads no tables.  No value changes: every entry is a function of its
+    key and counter, and a job's draws are used only under the spec they
+    were drawn for.
+
+    Re-entrant: a nested scope keeps the outer tables.  An unowned scope
+    neither reads nor changes the kept tables, and drops its own at its
+    end.  An outermost owned scope starts from the tables the last owned
+    scope kept when both have the same owner, and keeps its own at a
+    normal exit; a scope of another owner replaces them, and a raise
+    drops them.  Planning owns its scopes by its master key, as every
+    call of one run replays the same label worlds.  The tables grow with
+    what the scopes of one owner draw, so open a scope only around work
+    that replays the same streams.
+    """
+    global _scope, _kept
+    outer = _scope
     if outer is None:
-        _subkeys = {}
+        _scope = {}, {}, {}, {}
         if owner is not None:
             kept, _kept = _kept, None
             if kept is not None and kept[0] == owner:
-                _subkeys = kept[1]
+                _scope = kept[1]
+        pure.use_tables(_scope[1:])
     try:
-        with _kernel.shared_draws(owner):
-            yield
+        yield
         if outer is None and owner is not None:
-            _kept = owner, _subkeys
+            _kept = owner, _scope
     finally:
-        _subkeys = outer
+        _scope = outer
+        if outer is None:
+            pure.use_tables(None)
 
 
 class RngStream:
@@ -111,9 +129,9 @@ class RngStream:
     def subkeys(self) -> dict[int, int]:
         """Keys of substream(i) by i, without building the streams; the
         table is shared by key inside a shared_draws() scope."""
-        if _subkeys is None:
+        if _scope is None:
             return _Subkeys(self.key)
-        return _subkeys.setdefault(self.key, _Subkeys(self.key))
+        return _scope[0].setdefault(self.key, _Subkeys(self.key))
 
     # -- draws ---------------------------------------------------------
 

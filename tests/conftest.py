@@ -20,8 +20,7 @@ def built_core(tmp_path_factory):
 def batched(monkeypatch):
     """The environment keys the pure kernel's first-draw batch
     (pure._prefetch) fills, in call order.  Simulations step through the
-    pure kernel and its shared-draw scope here, also where the compiled
-    kernel is the backend."""
+    pure kernel here, also where the compiled kernel is the backend."""
     keys = []
     batch = pure._prefetch
 
@@ -31,5 +30,4 @@ def batched(monkeypatch):
 
     monkeypatch.setattr(pure, "_prefetch", record)
     monkeypatch.setattr(_kernel, "run_machine", pure.run_machine)
-    monkeypatch.setattr(_kernel, "shared_draws", pure.shared_draws)
     return keys

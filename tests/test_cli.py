@@ -7,7 +7,7 @@ from concurrent.futures import Future
 import pytest
 
 import reworkopt
-from reworkopt import harness
+from reworkopt import harness, storage
 from reworkopt.cli import _parse_seeds, build_parser, main
 from reworkopt.instances import generate_instance, toy_instance
 from reworkopt.storage import (ARCHIVE_TAG, load_archive, load_instance,
@@ -85,6 +85,34 @@ def test_run_report_pareto_gantt_round_trip(tmp_path, capsys):
                  "--seed", "0", "--online", "--out", str(svg)]) == 0
     head = svg.read_text().splitlines()[0]
     assert "reworkopt-gantt" in head
+
+
+def test_pareto_reads_each_archive_once(tmp_path, monkeypatch, capsys):
+    """pareto pools the rows of each seed's archive from one read, and
+    refuses a directory without seed archives in one line."""
+    run_dir = tmp_path / "exp"
+    for seed, rows in (0, [(0, 4.0, 2.0, "a"), (0, 3.0, 5.0, "b")]), \
+            (1, [(1, 3.5, 1.0, "c")]):
+        (run_dir / ("seed-%d" % seed)).mkdir(parents=True)
+        save_archive(rows, run_dir / ("seed-%d" % seed) / "archive.tsv")
+    read = []
+    load = storage.load_archive
+
+    def counted(path):
+        read.append(os.path.basename(os.path.dirname(path)))
+        return load(path)
+
+    monkeypatch.setattr(storage, "load_archive", counted)
+    pooled = tmp_path / "front.tsv"
+    assert main(["pareto", "--run-dir", str(run_dir), "--out", str(pooled)]) == 0
+    assert sorted(read) == ["seed-0", "seed-1"]
+    assert load(pooled) == [(0, 3.0, 5.0, "b"), (1, 3.5, 1.0, "c")]
+    capsys.readouterr()
+    bare = tmp_path / "bare.tsv"
+    assert main(["pareto", "--run-dir", str(tmp_path), "--out", str(bare)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("reworkopt: ") and err.count("\n") == 1
+    assert not bare.exists()
 
 
 def test_runs_are_reproducible_across_directories(tmp_path):

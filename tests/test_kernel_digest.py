@@ -2,7 +2,7 @@
 
 Each case hashes the repr of every result of a few hundred calls of one
 draw (floats repr round-trip exactly, the sign of zero included), once
-outside a ``shared_draws()`` scope and twice inside one: on the first
+outside an ``rng.shared_draws()`` scope and twice inside one: on the first
 call, which fills the pure kernel's tables, and on the repeat, which
 reads them.  Any change to an expression, a tick count or a memo shows
 up here.  Every importable backend, and the compiled kernel built from
@@ -12,13 +12,13 @@ normal draws inside its step, so those cases reach them through
 ``job_step`` (``step_draws``).
 """
 
-import contextlib
 import hashlib
 import random
 
 import pytest
 
 from reworkopt._kernel import pure
+from reworkopt.rng import shared_draws
 from step_draws import through_job_step
 
 
@@ -123,7 +123,7 @@ def _check(mod, name):
     fn = getattr(mod, draw, None) or getattr(through_job_step(mod), draw)
     calls = make(random.Random(name))
     assert _digest(fn, calls) == want
-    with getattr(mod, "shared_draws", contextlib.nullcontext)():
+    with shared_draws():
         assert _digest(fn, calls) == want
         assert _digest(fn, calls) == want
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from reworkopt import _kernel
 from reworkopt._kernel import pure
 from reworkopt.model import Job
-from reworkopt.rng import RngStream
+from reworkopt.rng import RngStream, shared_draws
 from reworkopt.simulate import _Ent
 from step_draws import through_job_step
 
@@ -36,23 +36,22 @@ def pairs(n, seed):
     return [(r.getrandbits(64), r.randrange(0, 10**6)) for _ in range(n)]
 
 
-# the kernel API: the draws and the steps both backends define, and the
-# pure kernel's shared-draw scope, which resolves to a no-op on the
-# compiled one
+# the kernel API: the draws and the steps both backends define
 API = {"mix64", "u01", "job_step", "run_machine"}
-SCOPE = {"shared_draws"}
 
 
 def test_the_backends_expose_the_kernel_api(built_core):
     assert {n for n in dir(built_core) if not n.startswith("_")} == API
     exported = {n for n, v in vars(_kernel).items()
                 if callable(v) and not n.startswith("_")}
-    assert exported == API | SCOPE
-    # and the draws job_step is built on, which only pure exposes
+    assert exported == API
+    # and the draws job_step is built on and the setter of a shared-draw
+    # scope's tables, which only pure has
     defined = {n for n, v in vars(pure).items()
                if callable(v) and not n.startswith("_")
                and v.__module__ == pure.__name__}
-    assert defined == API | SCOPE | {"normal", "gamma", "truncated_normal"}
+    assert defined == API | {"normal", "gamma", "truncated_normal",
+                             "use_tables"}
 
 
 def test_u01_bitwise_equal(built_core):
@@ -228,7 +227,7 @@ def _assert_run_machine_equal(core, case, scope):
     scope, on a repeat that reads the tables, equals the compiled one,
     the steps it records included."""
     want = repr(_run_machine(core, case))
-    with pure.shared_draws() if scope else contextlib.nullcontext():
+    with shared_draws() if scope else contextlib.nullcontext():
         for _ in range(1 + scope):
             assert repr(_run_machine(pure, case)) == want
     return _run_machine(core, case)
@@ -299,7 +298,7 @@ def test_shared_draws_bitwise_equal(built_core):
     calls = _draw_calls()
     want = [repr(getattr(built_core if name == "job_step" else pure, name)(
         *args, **kw)) for name, args, kw in calls]
-    with pure.shared_draws():
+    with shared_draws():
         for _ in range(2):
             got = [repr(getattr(pure, name)(*args, **kw))
                    for name, args, kw in calls]

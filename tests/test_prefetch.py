@@ -98,7 +98,7 @@ def _batch(jobs, ekey, n_idle=0, head=()):
     row += [_Stub(len(jobs) + n, SPECS["wide"], real=False)
             for n in range(n_idle)]
     job_keys = {n: jkey for n, (jkey, _) in enumerate(jobs)}
-    with pure.shared_draws():
+    with rng.shared_draws():
         pure._prefetch(row, len(head), 0, job_keys, ekey)
         return dict(pure._jobs), dict(pure._uniforms), dict(pure._normals)
 

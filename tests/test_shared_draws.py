@@ -1,15 +1,17 @@
 """Shared-draw scopes change no value; unowned scopes keep nothing past
 their end, and owned ones keep the tables of one owner only.
 
-Inside ``shared_draws()`` the pure kernel reads repeated (key, ctr)
-draws back from per-key tables and a real job's job-stream draws back
-from a table by stream position and type spec; ``rng.shared_draws()``
-adds job keys by stream.  Every result must be the one computed outside
+Inside an ``rng.shared_draws()`` scope the pure kernel reads repeated
+(key, ctr) draws back from per-key tables and a real job's job-stream
+draws back from a table by stream position and type spec, and the scope
+shares job keys by stream.  Every result must be the one computed outside
 a scope, on a first call and on a repeated call alike, also when draws
 of different kinds land on the same counters of one key, when one job
 stream position is reached under different type specs, and when an
 owned scope starts from the tables an earlier scope of its owner kept.
 """
+
+import contextlib
 
 import pytest
 from hypothesis import given, settings
@@ -95,7 +97,7 @@ def _run(calls):
 @given(CALLS)
 def test_draws_inside_a_scope_equal_draws_outside(calls):
     outside = _run(calls)
-    with pure.shared_draws():
+    with rng.shared_draws():
         first = _run(calls)
         repeated = _run(calls)
     assert first == outside
@@ -103,7 +105,7 @@ def test_draws_inside_a_scope_equal_draws_outside(calls):
 
 
 def _tables():
-    return pure._normals, pure._uniforms, pure._jobs, rng._subkeys
+    return pure._normals, pure._uniforms, pure._jobs, rng._scope
 
 
 def _one_stream_steps():
@@ -140,7 +142,7 @@ def _one_stream_steps():
 @given(_one_stream_steps())
 def test_job_steps_on_one_stream_position_keep_their_own_draws(calls):
     outside = [repr(pure.job_step(*args)) for args in calls]
-    with pure.shared_draws():
+    with rng.shared_draws():
         first = [repr(pure.job_step(*args)) for args in calls]
         repeated = [repr(pure.job_step(*args)) for args in reversed(calls)]
     assert first == outside
@@ -155,7 +157,7 @@ def test_a_zero_characteristic_keeps_its_sign():
                              mu_q, 0.0, -0.1, 0.1, 1.0)
     outside = [repr(step(x)) for x in (-0.0, 0.0, -0.0)]
     assert outside[0] != outside[1]
-    with pure.shared_draws():
+    with rng.shared_draws():
         assert [repr(step(x)) for x in (-0.0, 0.0, -0.0)] == outside
 
 
@@ -168,10 +170,10 @@ def test_nothing_is_stored_outside_a_scope():
 
 
 def test_a_nested_scope_keeps_the_outer_tables():
-    with pure.shared_draws():
+    with rng.shared_draws():
         pure.normal(7, 0, 0.0, 1.0)
         outer = pure._normals
-        with pure.shared_draws():
+        with rng.shared_draws():
             assert pure._normals is outer and 7 in outer
             pure.gamma(9, 0, 2.5, 1.0)
         assert pure._normals is outer
@@ -181,12 +183,12 @@ def test_a_nested_scope_keeps_the_outer_tables():
 
 def test_tables_are_dropped_when_the_body_raises():
     with pytest.raises(RuntimeError):
-        with pure.shared_draws():
-            with pure.shared_draws():
+        with rng.shared_draws():
+            with rng.shared_draws():
                 pure.gamma(9, 0, 2.5, 1.0)
                 raise RuntimeError("boom")
     assert pure._normals is None and pure._uniforms is None
-    with pure.shared_draws():
+    with rng.shared_draws():
         assert pure._normals == {} and pure._uniforms == {}
         assert pure._jobs == {}
 
@@ -211,7 +213,7 @@ def test_a_label_fills_the_tables_and_the_scope_exit_drops_them(batched):
     with rng.shared_draws():
         with rng.shared_draws():
             first = planner.label_static_obj(inst, chrom, master, cfg)
-        assert len(rng._subkeys) == 3       # one table per replication root
+        assert len(rng._scope[0]) == 3      # one table per replication root
         # each machine of each root batched once
         assert len(batched) == len(set(batched)) == 3 * len(inst.machines)
         assert pure._jobs
@@ -261,7 +263,6 @@ def cold(batched, monkeypatch):
     """No owned scope has kept tables yet; simulations step through the
     pure kernel (see batched), whose environment-key batches it lists."""
     monkeypatch.setattr(rng, "_kept", None)
-    monkeypatch.setattr(pure, "_kept", None)
     return batched
 
 
@@ -280,6 +281,9 @@ def _warm_labels(inst, master, chroms):
     the last scope it owned kept; none of its runs batches a first draw
     then, as every environment key of the label worlds is kept."""
     with rng.shared_draws(master.key):
+        # the scope hands the pure kernel its own draw tables
+        assert all(a is b for a, b in zip(
+            rng._scope[1:], (pure._normals, pure._uniforms, pure._jobs)))
         n = len(pure._uniforms)
         labels = _labels(inst, master, chroms)
         assert len(pure._uniforms) == n
@@ -293,16 +297,16 @@ def _chroms(inst, master, n=3):
 
 
 def _kept_keys():
-    """The keys the slots of both modules hold tables under."""
-    normals, uniforms, jobs = pure._kept[1]
-    return (set(rng._kept[1]), set(normals) | set(uniforms),
+    """The keys the slot holds subkey, draw and job tables under."""
+    subkeys, normals, uniforms, jobs = rng._kept[1]
+    return (set(subkeys), set(normals) | set(uniforms),
             {k for k, _ in jobs})
 
 
 def test_a_later_plan_reads_the_kept_tables_and_changes_no_value(cold):
     inst, master, _ = _setup()
     pop, _ = _plan(inst, master)
-    assert rng._kept[0] == pure._kept[0] == master.key
+    assert rng._kept[0] == master.key
     chroms = [ind.chrom for ind in pop] + _chroms(inst, master)
     assert _warm_labels(inst, master, chroms) == _labels(inst, master, chroms)
     n = len(cold)
@@ -310,12 +314,45 @@ def test_a_later_plan_reads_the_kept_tables_and_changes_no_value(cold):
     warm, _ = planner.plan(inst, 1, master, PLAN_CFG, (), pop=pop,
                            iter_offset=1, max_iter=2)
     assert len(cold) == n
-    rng._kept = pure._kept = None
+    rng._kept = None
     again, _ = planner.plan(inst, 1, master, PLAN_CFG, (), pop=pop,
                             iter_offset=1, max_iter=2)
     assert len(cold) > n
     assert [(i.chrom.digest(), repr(i.label), repr(i.obj)) for i in warm] == [
         (i.chrom.digest(), repr(i.label), repr(i.obj)) for i in again]
+
+
+def test_on_the_compiled_kernel_the_slot_keeps_only_job_subkeys(
+        built_core, monkeypatch):
+    """The compiled kernel reads no draw tables: an owned scope keeps and
+    reuses the job subkeys alone there, and changes no value."""
+    monkeypatch.setattr(_kernel, "run_machine", built_core.run_machine)
+    monkeypatch.setattr(_kernel, "job_step", built_core.job_step)
+    monkeypatch.setattr(rng, "_kept", None)
+    inst, master, _ = _setup()
+    streams = {master.substream(NS_LABEL, r).substream(NS_JOB).key
+               for r in range(PLAN_CFG.label_reps)}
+
+    def second_plan(pop):
+        pop, _ = planner.plan(inst, 1, master, PLAN_CFG, (), pop=pop,
+                              iter_offset=1, max_iter=2)
+        return [(i.chrom.digest(), repr(i.label), repr(i.obj)) for i in pop]
+
+    pop, _ = _plan(inst, master)
+    kept = rng._kept
+    subkeys, *draws = kept[1]
+    assert kept[0] == master.key and streams <= set(subkeys)
+    sizes = {s: len(subkeys[s]) for s in streams}
+    warm = second_plan(pop)
+    # the second call hashed no job key again, and no draw was kept
+    assert rng._kept[1] is kept[1]
+    assert {s: len(subkeys[s]) for s in streams} == sizes
+    assert draws == [{}, {}, {}]
+    assert _tables() == (None, None, None, None)
+    monkeypatch.setattr(planner, "shared_draws",
+                        lambda owner=None: contextlib.nullcontext())
+    pop, _ = _plan(inst, master)
+    assert second_plan(pop) == warm
 
 
 def test_kept_job_draws_of_another_instance_are_drawn_again(cold):
@@ -326,7 +363,7 @@ def test_kept_job_draws_of_another_instance_are_drawn_again(cold):
     _plan(inst, master)
     other = generate_instance(30, 1, sigma_q=0.1)
     chroms = _chroms(other, master)
-    kept_jobs = pure._kept[1][2]
+    kept_jobs = rng._kept[1][3]
     job_keys = master.substream(NS_LABEL, 0).substream(NS_JOB).subkeys()
     specs = {kept_jobs[job_keys[e], 0][0] for e in range(inst.n_jobs)
              if (job_keys[e], 0) in kept_jobs}
@@ -341,7 +378,7 @@ def test_interleaved_masters_change_no_value(cold):
     b = RngStream.from_seed(5)
     for master in (a, b, a):
         _plan(inst, master)
-    assert rng._kept[0] == pure._kept[0] == a.key
+    assert rng._kept[0] == a.key
     chroms = _chroms(inst, a)
     assert _warm_labels(inst, a, chroms) == _labels(inst, a, chroms)
 
@@ -370,11 +407,11 @@ def test_the_slot_keeps_one_owner(cold):
            for root in roots for m in inst.machines}
     streams = {root.substream(NS_JOB).key for root in roots}
     _plan(inst, a)
-    jobs = {k for s in streams for k in rng._kept[1][s].values()}
+    jobs = {k for s in streams for k in rng._kept[1][0][s].values()}
     subkeys, draws, job_draws = _kept_keys()
     assert streams <= subkeys and env <= draws and jobs & job_draws
     _plan(inst, RngStream.from_seed(5))
-    assert rng._kept[0] == pure._kept[0] == RngStream.from_seed(5).key
+    assert rng._kept[0] == RngStream.from_seed(5).key
     subkeys, draws, job_draws = _kept_keys()
     assert not streams & subkeys
     assert not (env | jobs) & draws
@@ -387,8 +424,8 @@ def test_an_unowned_scope_between_plans_leaves_the_slot_alone(
     scopes, neither read nor change the tables the planner kept."""
     inst, master, chrom = _setup()
     _plan(inst, master)
-    kept = rng._kept, pure._kept
-    before = _kept_keys(), [len(t) for t in pure._kept[1]]
+    kept = rng._kept
+    before = _kept_keys(), [len(t) for t in kept[1]]
     seen = []
 
     def run_machine(*args):
@@ -400,18 +437,18 @@ def test_an_unowned_scope_between_plans_leaves_the_slot_alone(
              SimConfig(mode=ONLINE,
                        rescheduler=lambda ctx: reschedule(ctx, 2)))
     projected = [t for t in seen if t is not None]
-    assert projected and all(t is not kept[1][1][1] for t in projected)
-    assert rng._kept is kept[0] and pure._kept is kept[1]
-    assert (_kept_keys(), [len(t) for t in pure._kept[1]]) == before
+    assert projected and all(t is not kept[1][2] for t in projected)
+    assert rng._kept is kept
+    assert (_kept_keys(), [len(t) for t in kept[1]]) == before
 
 
 def test_a_raise_in_an_owned_scope_leaves_no_slot(cold):
     inst, master, chrom = _setup()
     _plan(inst, master)
-    assert rng._kept and pure._kept
+    assert rng._kept
     with pytest.raises(RuntimeError):
         with rng.shared_draws(master.key):
             planner.label_static_obj(inst, chrom, master, PLAN_CFG)
             raise RuntimeError("boom")
-    assert rng._kept is None and pure._kept is None
+    assert rng._kept is None
     assert _tables() == (None, None, None, None)
