@@ -20,6 +20,7 @@ from .instances import GENERATOR_DEFAULTS, generate_instance
 from .metrics import bounds_of, hypervolume, igd, normalize, rpd
 from .model import InvalidOptionError, front_insert
 from .orchestrator import DpeiaConfig, carry, dpeia
+from .planner import usable_cpus
 
 
 @dataclass
@@ -47,7 +48,9 @@ class ExperimentConfig:
     det: bool = DpeiaConfig.det
     seeds: tuple[int, ...] = (0,)
     outdir: str = "runs"
-    jobs: int = 1                       # concurrent seeds
+    # concurrent seeds; with one worker, each generation is labelled on
+    # all usable CPUs
+    jobs: int = 1
     reference_path: str | None = None   # archive file with reference points
 
     def __post_init__(self):
@@ -238,8 +241,8 @@ def run_experiment(cfg: ExperimentConfig):
         storage.save_instance(inst, os.path.join(cfg.outdir, "instance.txt"))
     results = {}
     # the pool forks all its workers at the first submit: start no more
-    # than there are seeds
-    workers = min(cfg.jobs, len(cfg.seeds))
+    # than there are seeds, and no more CPU-bound workers than CPUs
+    workers = min(cfg.jobs, len(cfg.seeds), usable_cpus())
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
             futs = [ex.submit(_run_one_seed, inst, cfg, s) for s in cfg.seeds]

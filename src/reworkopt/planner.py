@@ -8,11 +8,30 @@ by a deterministic preview) and load moves from the busiest machine to
 the idlest.  Survivors are picked by fitness-proportional roulette with
 the incumbent best and the leaders of the population's own cost-level
 front always retained.
+
+Labels are most of the work.  A generation's chromosomes are built
+first and labelled in one batch (``label_all``), split over the CPUs
+this process may run on: the caller labels the first share, and a
+helper forked for the batch labels each other share and pipes its
+labels back.  Nothing persists between batches.  Where a label runs
+cannot change it: a label is a pure function of instance, chromosome,
+master stream and config, and a helper reads the caller's shared-draw
+tables, which only memoise values.  A batch stays in one process where
+forking is unavailable or unsafe, in a multiprocessing child (whose
+siblings hold the other CPUs), where ``label_static_obj`` is wrapped,
+so that the wrapper sees every label, and where the batch's first label
+shows the others too short to repay a helper.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import sys
+import threading
+import time
 from dataclasses import dataclass, field
 
 from .encoding import (Chromosome, GeneBounds, SchedulePlan, decode,
@@ -63,10 +82,10 @@ def label_static_obj(inst: ProblemInstance, chrom: Chromosome,
     chromosome sees the same worlds, so labels are paired.  Selection
     keeps the leader of every cost level on the population's own front,
     and needs the objectives behind each label for that.  The plan is
-    decoded and prepared once; every replication replays it.
+    decoded and prepared once; every replication replays it.  The runs
+    are counted where they are requested, in label_all.
     """
     plan = prepare(inst, decode(chrom, inst))
-    cfg.counter[0] += cfg.label_reps
     sim_cfg = SimConfig(mode=STATIC, det=cfg.det, prop2=cfg.prop2, summary=True)
     total = 0.0
     mk = 0.0
@@ -78,6 +97,115 @@ def label_static_obj(inst: ProblemInstance, chrom: Chromosome,
         mc += tr.maint_cost
     n = cfg.label_reps
     return total / n, (mk / n, mc / n)
+
+
+_OWN_LABEL = label_static_obj
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# A helper pays for its fork, its start and the page copies it and the
+# caller make after the fork: a few milliseconds on a 100-job run.  A
+# share shorter than this would not repay them.
+HELPER_MIN_S = 0.01
+
+
+def _label_procs(n: int, per_label: float) -> int:
+    """Processes n labels of per_label seconds each run on: one per usable
+    CPU, as long as each share takes HELPER_MIN_S, but one where os.fork
+    is missing, in a multiprocessing child, with more than one thread
+    alive (fork is unsafe there) and where label_static_obj is wrapped."""
+    # a multiprocessing child has the module loaded; importing it here
+    # would add to every run's start-up
+    mp = sys.modules.get("multiprocessing")
+    if (not hasattr(os, "fork")
+            or (mp is not None and mp.parent_process() is not None)
+            or threading.active_count() > 1
+            or label_static_obj is not _OWN_LABEL):
+        return 1
+    procs = min(n, usable_cpus())
+    while procs > 1 and n * per_label < procs * HELPER_MIN_S:
+        procs -= 1
+    return procs
+
+
+def label_all(inst: ProblemInstance, chroms: list[Chromosome],
+              master: RngStream, cfg: PlannerConfig
+              ) -> list[tuple[float, tuple[float, float]]]:
+    """label_static_obj of each chromosome, in order, counted here.
+
+    The caller labels the first chromosome and times it.  The rest are
+    split into contiguous shares, one per process (see _label_procs):
+    the caller labels the first share, and a helper forked for this call
+    labels each other share.  Every helper is reaped before this returns
+    or raises, and the first error in chromosome order is raised.
+    """
+    cfg.counter[0] += cfg.label_reps * len(chroms)
+    start = time.perf_counter()
+    out = [label_static_obj(inst, ch, master, cfg) for ch in chroms[:1]]
+    rest = len(chroms) - 1
+    n = _label_procs(rest, time.perf_counter() - start) if rest > 1 else 1
+    cut = [1 + rest * k // n for k in range(n + 1)]
+    helpers: list[tuple[int, int]] = []
+    try:
+        for k in range(1, n):
+            helpers.append(_fork_labels(inst, chroms[cut[k]:cut[k + 1]],
+                                        master, cfg))
+        out += [label_static_obj(inst, ch, master, cfg)
+                for ch in chroms[1:cut[1]]]
+        for pid, fd in helpers:
+            out += _read_labels(pid, fd)
+        return out
+    finally:
+        for pid, fd in helpers:
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)    # done already, unless we raise
+            os.waitpid(pid, 0)
+
+
+def _fork_labels(inst: ProblemInstance, chroms: list[Chromosome],
+                 master: RngStream, cfg: PlannerConfig) -> tuple[int, int]:
+    """Fork a helper that labels chroms and pipes back the pickled list
+    of labels, or the error that stopped it; returns (pid, read end)."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        try:
+            os.close(r)
+            try:
+                got = [label_static_obj(inst, ch, master, cfg) for ch in chroms]
+            except BaseException as exc:    # the caller raises it
+                got = exc
+            data = pickle.dumps(got)        # nothing is sent if this fails
+            with os.fdopen(w, "wb") as fh:
+                fh.write(data)
+        finally:
+            os._exit(0)
+    os.close(w)
+    return pid, r
+
+
+def _read_labels(pid: int, fd: int) -> list[tuple[float, tuple[float, float]]]:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    if not chunks:
+        raise ChildProcessError(f"label helper {pid} exited without labels")
+    got = pickle.loads(b"".join(chunks))
+    if isinstance(got, BaseException):
+        raise got
+    return got
 
 
 def de_operator(parent: Chromosome, pop: list[Individual],
@@ -357,11 +485,13 @@ def _roulette(pool: list[Individual], size: int, rng: RngStream) -> list[Individ
 def emode_step(pop: list[Individual], iteration: int, max_iter: int,
                inst: ProblemInstance, master: RngStream,
                cfg: PlannerConfig) -> list[Individual]:
-    """One generation: produce a child per parent, then roulette over
-    parents plus children."""
+    """One generation: produce a child per parent, label the children
+    in one batch (label_all), then roulette over parents plus children.
+    Labels draw nothing from the search stream, so building every child
+    first keeps its draws in their order."""
     nu = control_param(iteration, max_iter)
     srng = master.substream(NS_SEARCH, iteration)
-    children: list[Individual] = []
+    children: list[Chromosome] = []
     for ind in pop:
         if nu > 1.0:
             if srng.uniform() < 0.7:
@@ -383,23 +513,23 @@ def emode_step(pop: list[Individual], iteration: int, max_iter: int,
             if child is None:
                 child = busiest_idlest_move(ind.chrom, inst, preview, srng)
         mutate_genes(child, srng, cfg.bounds)
-        lbl, obj = label_static_obj(inst, child, master, cfg)
-        children.append(Individual(child, lbl, obj))
-    return _roulette(pop + children, len(pop), srng)
+        children.append(child)
+    labelled = [Individual(ch, lbl, obj) for ch, (lbl, obj) in
+                zip(children, label_all(inst, children, master, cfg))]
+    return _roulette(pop + labelled, len(pop), srng)
 
 
 def init_population(inst: ProblemInstance, idle_types: tuple[int, ...],
                     master: RngStream, cfg: PlannerConfig) -> list[Individual]:
-    """cfg.pop_size random chromosomes, labeled.  The labels share
-    their draws in a scope owned by the master key, as plan's do."""
+    """cfg.pop_size random chromosomes, drawn first and then labelled in
+    one batch (label_all).  The labels share their draws in a scope
+    owned by the master key, as plan's do."""
     irng = master.substream(NS_SEARCH, 0)
-    pop = []
+    chroms = [random_chromosome(inst, idle_types, irng, cfg.bounds)
+              for _ in range(cfg.pop_size)]
     with shared_draws(master.key):
-        for _ in range(cfg.pop_size):
-            ch = random_chromosome(inst, idle_types, irng, cfg.bounds)
-            lbl, obj = label_static_obj(inst, ch, master, cfg)
-            pop.append(Individual(ch, lbl, obj))
-    return pop
+        labels = label_all(inst, chroms, master, cfg)
+    return [Individual(ch, lbl, obj) for ch, (lbl, obj) in zip(chroms, labels)]
 
 
 def plan(inst: ProblemInstance, iters: int, master: RngStream,
@@ -416,7 +546,9 @@ def plan(inst: ProblemInstance, iters: int, master: RngStream,
     global decay path).  Every label replays the same replication
     worlds, so the run shares their draws, in a scope owned by the master
     key: a later call with the same master reads back the draws the last
-    one kept (see rng.shared_draws).
+    one kept (see rng.shared_draws).  Each generation is labelled in one
+    batch on every usable CPU (label_all); the result does not depend on
+    how many there are.
     """
     cfg = cfg or PlannerConfig()
     max_iter = max_iter or (iter_offset + iters)

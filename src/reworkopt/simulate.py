@@ -230,7 +230,10 @@ class _Sim:
         self.root = root
         self.cfg = cfg
         self.det = 1 if cfg.det else 0
-        self.env = {mid: root.substream(NS_ENV, mid) for mid in queues}
+        # the keys of substream(NS_ENV, mid), from one table shared by
+        # the runs of a world inside a shared_draws() scope
+        env_keys = root.substream(NS_ENV).subkeys()
+        self.env = {mid: RngStream(env_keys[mid]) for mid in queues}
         # entity eid draws with key job_keys[eid]; a det run draws nothing
         # and reads no key
         self.job_keys = None if cfg.det else root.substream(NS_JOB).subkeys()

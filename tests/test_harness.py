@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 from pathlib import Path
 
 import pytest
@@ -102,6 +104,41 @@ def test_parallel_seeds_match_serial(tmp_path):
         a = Path(seed_dir(serial.outdir, seed), "archive.tsv").read_bytes()
         b = Path(seed_dir(parallel.outdir, seed), "archive.tsv").read_bytes()
         assert a == b
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its width and runs each
+    submitted seed at once in this process."""
+
+    widths: list = []
+
+    def __init__(self, max_workers):
+        self.widths.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = concurrent.futures.Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+@pytest.mark.parametrize("cpus,width", [(64, 3), (2, 2), (1, None)])
+def test_no_more_seed_workers_than_usable_cpus(tmp_path, monkeypatch, cpus,
+                                               width):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(_RecordingPool, "widths", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _RecordingPool)
+    cfg = _tiny_cfg(tmp_path, jobs=64, seeds=(0, 1, 2), n_rounds=1,
+                    max_iter=1)
+    results, _ = run_experiment(cfg)
+    assert sorted(results) == [0, 1, 2]
+    assert _RecordingPool.widths == ([] if width is None else [width])
 
 
 def test_run_refuses_an_invalid_instance_file(tmp_path):

@@ -2,9 +2,10 @@
 grouping and the payoff screen."""
 
 from dataclasses import fields
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from reworkopt.encoding import Chromosome, decode
@@ -161,10 +162,14 @@ def test_suspension_screen_ratios():
        st.floats(min_value=0.1, max_value=1e3),
        st.floats(min_value=0.1, max_value=1e3),
        st.floats(min_value=0.1, max_value=1e3))
+# at the threshold both rates round to one float
+@example(1, 1, 0.1, 0.1, 0.10000000000000002, 0.10000000000000002)
 def test_suspension_implies_worse_payoff_rate(n_gain, n_c, t_c, c_c, t_pm, c_pm):
     """Whenever the screen suspends, continuing with a preventive action
-    would lower squared-output per cost-time."""
+    would lower squared-output per cost-time.  The rates are compared
+    exactly, on the same float inputs."""
     if pm_suspension_check(n_gain, n_c, t_c, c_c, t_pm, c_pm):
+        t_c, c_c, t_pm, c_pm = map(Fraction, (t_c, c_c, t_pm, c_pm))
         before = n_c * n_c / (t_c * c_c)
         after = (n_c + n_gain) ** 2 / ((t_c + t_pm) * (c_c + c_pm))
         assert after < before

@@ -9,7 +9,7 @@ from its source, so nothing is written under perfbench/.
 import os
 import types
 
-from reworkopt import ONLINE, SimConfig, simulate
+from reworkopt import ONLINE, SimConfig, planner, simulate
 from reworkopt.encoding import decode, random_chromosome
 from reworkopt.improver import make_rescheduler
 from reworkopt.instances import generate_instance
@@ -30,7 +30,12 @@ def _load_layers():
     return mod
 
 
-def test_the_benchmark_tracer_records_planner_and_improver_spans():
+def test_the_benchmark_tracer_records_planner_and_improver_spans(
+        monkeypatch):
+    # on two CPUs a batch would fork helpers, whose spans the tracer
+    # would miss: the wrapped label keeps every label in this process
+    monkeypatch.setattr(planner, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(planner, "HELPER_MIN_S", 0.0)
     layers = _load_layers()
     inst = generate_instance(20, 0)
     master = RngStream.from_seed(0)
@@ -50,3 +55,5 @@ def test_the_benchmark_tracer_records_planner_and_improver_spans():
     assert tr.resched_points
     for span in ("planner.label", "planner.step", "improver.reschedule"):
         assert tracer.stats.get(span, [0])[0] > 0, span
+    # an initial population and two generations of 4 labels each
+    assert tracer.stats["planner.label"][0] == 4 * 3

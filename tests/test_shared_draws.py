@@ -213,7 +213,8 @@ def test_a_label_fills_the_tables_and_the_scope_exit_drops_them(batched):
     with rng.shared_draws():
         with rng.shared_draws():
             first = planner.label_static_obj(inst, chrom, master, cfg)
-        assert len(rng._scope[0]) == 3      # one table per replication root
+        # two tables per replication root: job keys and environment keys
+        assert len(rng._scope[0]) == 2 * 3
         # each machine of each root batched once
         assert len(batched) == len(set(batched)) == 3 * len(inst.machines)
         assert pure._jobs
