@@ -3,12 +3,13 @@
 Runs the optimizer over a list of seeds, persists one directory per
 seed (manifest, archive, summary) and an aggregate indicator report.
 Outputs carry no timestamps, so identical configs rerun to identical
-bytes; seeds can execute in parallel because no two seeds share a file.
+bytes.  No two seeds share a file: they run in helpers that
+planner.fan_out forks, one per worker (``jobs``), each labelling in one
+process; with one worker, the caller runs them and spreads its labels.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 import sys
 import types
@@ -20,7 +21,7 @@ from .instances import GENERATOR_DEFAULTS, generate_instance
 from .metrics import bounds_of, hypervolume, igd, normalize, rpd
 from .model import InvalidOptionError, front_insert
 from .orchestrator import DpeiaConfig, carry, dpeia
-from .planner import usable_cpus
+from .planner import fan_out, usable_cpus
 
 
 @dataclass
@@ -62,6 +63,11 @@ class ExperimentConfig:
                     f"{name} must be {shown}, got {value!r}")
         if not self.seeds:
             raise InvalidOptionError("need at least one seed")
+        # a stream reduces its seed mod 2**64, and each seed owns a directory
+        if (len(set(self.seeds)) < len(self.seeds)
+                or not all(0 <= s < 2 ** 64 for s in self.seeds)):
+            raise InvalidOptionError(
+                f"seeds must be distinct and in [0, 2**64), got {self.seeds}")
         if self.jobs < 1:
             raise InvalidOptionError(
                 f"need at least one worker, got {self.jobs}")
@@ -239,20 +245,12 @@ def run_experiment(cfg: ExperimentConfig):
     storage.ensure_dir(cfg.outdir)
     if cfg.instance_path is None:
         storage.save_instance(inst, os.path.join(cfg.outdir, "instance.txt"))
-    results = {}
-    # the pool forks all its workers at the first submit: start no more
-    # than there are seeds, and no more CPU-bound workers than CPUs
+    # one helper per share of the seeds (planner.fan_out), no more than
+    # there are seeds or CPUs; the caller runs none itself, so no helper
+    # inherits a seed's memory, and a seed helper labels in one process
     workers = min(cfg.jobs, len(cfg.seeds), usable_cpus())
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            futs = [ex.submit(_run_one_seed, inst, cfg, s) for s in cfg.seeds]
-            for fut in futs:
-                seed, rows = fut.result()
-                results[seed] = rows
-    else:
-        for s in cfg.seeds:
-            seed, rows = _run_one_seed(inst, cfg, s)
-            results[seed] = rows
+    results = dict(fan_out(lambda s: _run_one_seed(inst, cfg, s), cfg.seeds,
+                           workers, own_share=False))
     per_seed_points = {s: [(r[1], r[2]) for r in rows]
                        for s, rows in results.items()}
     report_path = write_aggregate_report(cfg.outdir, per_seed_points, reference)

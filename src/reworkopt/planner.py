@@ -11,16 +11,17 @@ front always retained.
 
 Labels are most of the work.  A generation's chromosomes are built
 first and labelled in one batch (``label_all``), split over the CPUs
-this process may run on: the caller labels the first share, and a
+this process may run on by ``fan_out``, which also spreads the seeds of
+``harness.run_experiment``: the caller labels the first share, and a
 helper forked for the batch labels each other share and pipes its
 labels back.  Nothing persists between batches.  Where a label runs
 cannot change it: a label is a pure function of instance, chromosome,
 master stream and config, and a helper reads the caller's shared-draw
 tables, which only memoise values.  A batch stays in one process where
-forking is unavailable or unsafe, in a multiprocessing child (whose
-siblings hold the other CPUs), where ``label_static_obj`` is wrapped,
-so that the wrapper sees every label, and where the batch's first label
-shows the others too short to repay a helper.
+forking is unavailable or unsafe, in a process fan_out forked (a seed
+helper, whose siblings hold the other CPUs), where ``label_static_obj``
+is wrapped, so that the wrapper sees every label, and where the batch's
+first label shows the others too short to repay a helper.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import math
 import os
 import pickle
 import signal
-import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -39,7 +39,7 @@ from .encoding import (Chromosome, GeneBounds, SchedulePlan, decode,
 from .model import InvalidOptionError, ProblemInstance, dominates
 from .rng import NS_LABEL, NS_SEARCH, RngStream, shared_draws
 from .simulate import (STATIC, ScheduleTrace, SimConfig, fitness_static,
-                       prepare, simulate)
+                       prepare, scorable, simulate)
 
 
 @dataclass
@@ -96,10 +96,12 @@ def label_static_obj(inst: ProblemInstance, chrom: Chromosome,
         mk += tr.makespan
         mc += tr.maint_cost
     n = cfg.label_reps
+    mk, mc = scorable(mk, mc)       # finite runs may sum past the float range
     return total / n, (mk / n, mc / n)
 
 
 _OWN_LABEL = label_static_obj
+_in_helper = False      # set in every process fan_out forks
 
 
 def usable_cpus() -> int:
@@ -118,16 +120,10 @@ HELPER_MIN_S = 0.01
 
 def _label_procs(n: int, per_label: float) -> int:
     """Processes n labels of per_label seconds each run on: one per usable
-    CPU, as long as each share takes HELPER_MIN_S, but one where os.fork
-    is missing, in a multiprocessing child, with more than one thread
-    alive (fork is unsafe there) and where label_static_obj is wrapped."""
-    # a multiprocessing child has the module loaded; importing it here
-    # would add to every run's start-up
-    mp = sys.modules.get("multiprocessing")
-    if (not hasattr(os, "fork")
-            or (mp is not None and mp.parent_process() is not None)
-            or threading.active_count() > 1
-            or label_static_obj is not _OWN_LABEL):
+    CPU, as long as each share takes HELPER_MIN_S, but one in a process
+    fan_out forked (a seed helper of harness.run_experiment, whose
+    siblings hold the other CPUs) and where label_static_obj is wrapped."""
+    if _in_helper or label_static_obj is not _OWN_LABEL:
         return 1
     procs = min(n, usable_cpus())
     while procs > 1 and n * per_label < procs * HELPER_MIN_S:
@@ -140,39 +136,59 @@ def label_all(inst: ProblemInstance, chroms: list[Chromosome],
               ) -> list[tuple[float, tuple[float, float]]]:
     """label_static_obj of each chromosome, in order, counted here.
 
-    The caller labels the first chromosome and times it.  The rest are
-    split into contiguous shares, one per process (see _label_procs):
-    the caller labels the first share, and a helper forked for this call
-    labels each other share.  Every helper is reaped before this returns
-    or raises, and the first error in chromosome order is raised.
+    The caller labels the first chromosome and times it, then fans the
+    rest out over _label_procs processes, labelling the first share
+    itself (fan_out).
     """
     cfg.counter[0] += cfg.label_reps * len(chroms)
     start = time.perf_counter()
     out = [label_static_obj(inst, ch, master, cfg) for ch in chroms[:1]]
-    rest = len(chroms) - 1
-    n = _label_procs(rest, time.perf_counter() - start) if rest > 1 else 1
-    cut = [1 + rest * k // n for k in range(n + 1)]
-    helpers: list[tuple[int, int]] = []
+    procs = _label_procs(len(chroms) - 1, time.perf_counter() - start)
+    return out + fan_out(lambda ch: label_static_obj(inst, ch, master, cfg),
+                         chroms[1:], procs)
+
+
+def fan_out(fn, items, procs: int, own_share: bool = True) -> list:
+    """[fn(x) for x in items], over procs processes.
+
+    items are cut into procs contiguous shares.  The caller computes the
+    first share if own_share is set; a helper forked here computes every
+    other share and pipes back its pickled results, or the error that
+    stopped it.  Every helper is reaped before this returns or raises,
+    and the first error in item order is raised.  The caller computes
+    every item where procs is below 2 or forking is unavailable or unsafe.
+    """
+    if procs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [fn(x) for x in items]
+    cut = [len(items) * k // procs for k in range(procs + 1)]
+    shares = [items[a:b] for a, b in zip(cut, cut[1:])]
+    mine = shares.pop(0) if own_share else []
+    helpers: list = []
     try:
-        for k in range(1, n):
-            helpers.append(_fork_labels(inst, chroms[cut[k]:cut[k + 1]],
-                                        master, cfg))
-        out += [label_static_obj(inst, ch, master, cfg)
-                for ch in chroms[1:cut[1]]]
-        for pid, fd in helpers:
-            out += _read_labels(pid, fd)
+        for share in shares:
+            helpers.append(_fork(fn, share))
+        out = [fn(x) for x in mine]
+        for pid, fh in helpers:
+            data = fh.read()
+            if not data:
+                raise ChildProcessError(f"helper {pid} exited without results")
+            got = pickle.loads(data)
+            if isinstance(got, BaseException):
+                raise got
+            out += got
         return out
     finally:
-        for pid, fd in helpers:
-            os.close(fd)
+        for pid, fh in helpers:
+            fh.close()
             os.kill(pid, signal.SIGKILL)    # done already, unless we raise
             os.waitpid(pid, 0)
 
 
-def _fork_labels(inst: ProblemInstance, chroms: list[Chromosome],
-                 master: RngStream, cfg: PlannerConfig) -> tuple[int, int]:
-    """Fork a helper that labels chroms and pipes back the pickled list
-    of labels, or the error that stopped it; returns (pid, read end)."""
+def _fork(fn, share):
+    """Fork a helper that computes fn over share and pipes back the
+    pickled list of results, or the error that stopped it; returns its
+    pid and the pipe's read end."""
+    global _in_helper
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -182,9 +198,10 @@ def _fork_labels(inst: ProblemInstance, chroms: list[Chromosome],
         raise
     if pid == 0:
         try:
+            _in_helper = True
             os.close(r)
             try:
-                got = [label_static_obj(inst, ch, master, cfg) for ch in chroms]
+                got = [fn(x) for x in share]
             except BaseException as exc:    # the caller raises it
                 got = exc
             data = pickle.dumps(got)        # nothing is sent if this fails
@@ -193,19 +210,7 @@ def _fork_labels(inst: ProblemInstance, chroms: list[Chromosome],
         finally:
             os._exit(0)
     os.close(w)
-    return pid, r
-
-
-def _read_labels(pid: int, fd: int) -> list[tuple[float, tuple[float, float]]]:
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    if not chunks:
-        raise ChildProcessError(f"label helper {pid} exited without labels")
-    got = pickle.loads(b"".join(chunks))
-    if isinstance(got, BaseException):
-        raise got
-    return got
+    return pid, os.fdopen(r, "rb")
 
 
 def de_operator(parent: Chromosome, pop: list[Individual],

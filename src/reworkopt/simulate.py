@@ -584,12 +584,7 @@ class _Sim:
         """Latest job completion (default when no job ran) and the
         maintenance cost; InvalidInstanceError when one is not finite."""
         span = self.end if self.end != -math.inf else default
-        cost = sum(ev.cost for ev in self.maint_events)
-        for name, x in (("makespan", span), ("maintenance cost", cost)):
-            if not math.isfinite(x):
-                raise InvalidInstanceError([
-                    f"a run's {name} is {x!r}: values too large to score"])
-        return span, cost
+        return scorable(span, sum(ev.cost for ev in self.maint_events))
 
     def trace(self) -> ScheduleTrace:
         span, cost = self.objectives(0.0)
@@ -704,6 +699,15 @@ def idle_space_count(inst: ProblemInstance, rng: RngStream) -> dict[int, int]:
 
 
 # -- fitness and objectives -------------------------------------------
+
+
+def scorable(span: float, cost: float) -> tuple[float, float]:
+    """(span, cost); InvalidInstanceError when one is not finite."""
+    for name, x in (("makespan", span), ("maintenance cost", cost)):
+        if not math.isfinite(x):
+            raise InvalidInstanceError([
+                f"a run's {name} is {x!r}: values too large to score"])
+    return span, cost
 
 
 def fitness_static(trace: ScheduleTrace) -> float:

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from kernel_build import load_kernel
@@ -31,3 +33,20 @@ def batched(monkeypatch):
     monkeypatch.setattr(pure, "_prefetch", record)
     monkeypatch.setattr(_kernel, "run_machine", pure.run_machine)
     return keys
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the helpers this process forks, in order; the real
+    fork runs."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids

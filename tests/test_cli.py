@@ -2,12 +2,11 @@ import math
 import os
 import subprocess
 import sys
-from concurrent.futures import Future
 
 import pytest
 
 import reworkopt
-from reworkopt import harness, storage
+from reworkopt import planner, storage
 from reworkopt.cli import _parse_seeds, build_parser, main
 from reworkopt.instances import generate_instance, toy_instance
 from reworkopt.storage import (ARCHIVE_TAG, load_archive, load_instance,
@@ -190,6 +189,9 @@ _SMALL = ["--n-jobs", "6", "--pop-size", "2", "--max-iter", "2",
     ["run", *_SMALL, "--mu-c", "inf"],
     ["run", *_SMALL, "--jobs", "0"],
     ["run", *_SMALL, "--jobs", "-3"],
+    ["run", *_SMALL, "--seeds", "-1"],
+    ["run", *_SMALL, "--seeds", str(2 ** 64)],
+    ["run", *_SMALL, "--seeds", "3,3"],
     ["oracle", "--n-jobs", "12"],
     ["oracle", "--n-jobs", "0", "--check"],
     ["oracle", "--n-jobs", "-3"],
@@ -257,34 +259,18 @@ def test_a_run_refuses_an_instance_file_without_jobs(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_run_starts_no_more_workers_than_seeds(tmp_path, monkeypatch, capsys):
-    sizes = []
-
-    class InlinePool:
-        """Stands in for the process pool: records its size and runs each
-        call at submit, so no process starts."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            fut = Future()
-            fut.set_result(fn(*args))
-            return fut
-
-    monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor",
-                        InlinePool)
+def test_run_starts_no_more_workers_than_seeds(tmp_path, monkeypatch, capsys,
+                                               forks):
+    # four CPUs, and label batches too short to fork for: only seed
+    # helpers are forked
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    monkeypatch.setattr(planner, "HELPER_MIN_S", math.inf)
     assert main(["run", *_SMALL, "--jobs", "100000", "--seeds", "0:2",
                  "--out", str(tmp_path / "two")]) == 0
+    assert len(forks) == 2
     assert main(["run", *_SMALL, "--jobs", "100000", "--seeds", "0",
                  "--out", str(tmp_path / "one")]) == 0
-    assert sizes == [2]
+    assert len(forks) == 2
     assert capsys.readouterr().out.count("archive points") == 3
 
 

@@ -1,17 +1,16 @@
-import concurrent.futures
 import math
 import os
 from pathlib import Path
 
 import pytest
 
+from reworkopt import harness
 from reworkopt.harness import (ExperimentConfig, _padded_bounds,
                                collect_archives, nondominated, run_experiment,
-                               score_archives, seed_dir,
-                               write_aggregate_report)
+                               score_archives, write_aggregate_report)
 from reworkopt.instances import generate_instance, toy_instance
 from reworkopt.model import InvalidInstanceError, InvalidOptionError
-from reworkopt.storage import save_instance
+from reworkopt.storage import load_manifest, save_instance
 
 
 def test_nondominated_filters_and_sorts():
@@ -73,6 +72,11 @@ def test_config_validation():
         ExperimentConfig(seeds=())
     with pytest.raises(ValueError):
         ExperimentConfig(n_jobs=0)
+    # each seed owns a directory, and its stream reduces it mod 2**64
+    for seeds in [(-1,), (2 ** 64,), (10 ** 300,), (3, 3), (5, 5 + 2 ** 64)]:
+        with pytest.raises(InvalidOptionError, match="seeds must be distinct"):
+            ExperimentConfig(seeds=seeds)
+    assert ExperimentConfig(seeds=(0, 2 ** 64 - 1)).seeds == (0, 2 ** 64 - 1)
     cfg = ExperimentConfig(n_jobs=0, instance_path="whatever.txt")
     assert cfg.instance_path == "whatever.txt"
 
@@ -95,50 +99,74 @@ def test_run_experiment_round_trips_through_collect(tmp_path):
         assert back[seed] == [(r[1], r[2]) for r in rows]
 
 
+def _outputs(outdir):
+    """Every file of a run by its path, each manifest without its config
+    entry (which holds jobs and outdir)."""
+    out = {}
+    for path in sorted(Path(outdir).rglob("*")):
+        name = str(path.relative_to(outdir))
+        if path.name == "manifest.txt":
+            manifest = load_manifest(path)
+            del manifest["config"]
+            out[name] = manifest
+        elif path.is_file():
+            out[name] = path.read_bytes()
+    return out
+
+
 def test_parallel_seeds_match_serial(tmp_path):
     serial = _tiny_cfg(tmp_path / "serial")
     run_experiment(serial)
     parallel = _tiny_cfg(tmp_path / "parallel", jobs=2)
     run_experiment(parallel)
-    for seed in (0, 1):
-        a = Path(seed_dir(serial.outdir, seed), "archive.tsv").read_bytes()
-        b = Path(seed_dir(parallel.outdir, seed), "archive.tsv").read_bytes()
-        assert a == b
-
-
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its width and runs each
-    submitted seed at once in this process."""
-
-    widths: list = []
-
-    def __init__(self, max_workers):
-        self.widths.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        fut = concurrent.futures.Future()
-        fut.set_result(fn(*args))
-        return fut
+    got = _outputs(parallel.outdir)
+    assert sorted(got) == [
+        "instance.txt", "report.txt",
+        *("seed-%d/%s" % (s, f) for s in (0, 1)
+          for f in ("archive.tsv", "manifest.txt", "summary.txt"))]
+    assert got == _outputs(serial.outdir)
 
 
 @pytest.mark.parametrize("cpus,width", [(64, 3), (2, 2), (1, None)])
-def test_no_more_seed_workers_than_usable_cpus(tmp_path, monkeypatch, cpus,
-                                               width):
+def test_no_more_seed_workers_than_usable_cpus(tmp_path, monkeypatch, forks,
+                                               cpus, width):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(_RecordingPool, "widths", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        _RecordingPool)
     cfg = _tiny_cfg(tmp_path, jobs=64, seeds=(0, 1, 2), n_rounds=1,
                     max_iter=1)
     results, _ = run_experiment(cfg)
     assert sorted(results) == [0, 1, 2]
-    assert _RecordingPool.widths == ([] if width is None else [width])
+    # a helper per worker, and none forked by the caller's labels
+    assert len(forks) == (width or 0)
+
+
+def _fail_on(seeds):
+    """harness._run_one_seed, but each of seeds fails: the first after
+    its run, the others at once, so a later seed fails first."""
+    run = harness._run_one_seed
+
+    def run_one_seed(inst, cfg, seed):
+        if seed == seeds[0]:
+            run(inst, cfg, seed)
+        if seed in seeds:
+            raise InvalidOptionError("seed %d fails" % seed)
+        return run(inst, cfg, seed)
+    return run_one_seed
+
+
+@pytest.mark.parametrize("failing,first", [((1, 2), 1), ((2,), 2)])
+def test_a_seed_helpers_error_reaches_the_caller_in_seed_order(
+        tmp_path, monkeypatch, forks, failing, first):
+    # seeds 0-2 on three helpers; the first failing seed's error is
+    # raised, and no helper outlives the run
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(harness, "_run_one_seed", _fail_on(failing))
+    cfg = _tiny_cfg(tmp_path, jobs=3, seeds=(0, 1, 2), n_rounds=1,
+                    max_iter=1)
+    with pytest.raises(InvalidOptionError, match="seed %d fails" % first):
+        run_experiment(cfg)
+    assert len(forks) == 3
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_run_refuses_an_invalid_instance_file(tmp_path):

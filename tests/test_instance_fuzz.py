@@ -7,7 +7,7 @@ machine's, a quality spec's, the globals', or a job's nominal time) to
 zero, a tiny, huge or negative value, NaN or an infinity, writes the
 instance out and reads it back, and runs a tiny experiment on the file.
 An accepted instance must also give structurally feasible static and
-online traces.
+online traces and a finite label.
 """
 
 import math
@@ -23,6 +23,7 @@ from reworkopt.instances import generate_instance
 from reworkopt.model import (GlobalParams, InvalidInstanceError,
                              MachineParams, QualitySpec, require_valid)
 from reworkopt.oracle import check_feasibility
+from reworkopt.planner import PlannerConfig, label_static_obj
 from reworkopt.rng import RngStream
 from reworkopt.simulate import ONLINE, STATIC, SimConfig, simulate
 from reworkopt.storage import (FormatError, dump_instance, load_report,
@@ -64,30 +65,36 @@ def _spoil(inst, spoils):
             inst.jobs[k].nominal_times[name] = value
 
 
-def _traces(inst):
-    """A static and an online trace of one random plan."""
+def _runs(inst, label_reps):
+    """A static and an online trace of one random plan, and the
+    objectives of its label."""
     chrom = random_chromosome(inst, (0, 1), RngStream.from_seed(3))
     plan, rng = decode(chrom, inst), RngStream.from_seed(4)
-    return [simulate(inst, plan, rng, SimConfig(mode=STATIC)),
-            simulate(inst, plan, rng, SimConfig(
-                mode=ONLINE, rescheduler=make_rescheduler(2)))]
+    traces = [simulate(inst, plan, rng, SimConfig(mode=STATIC)),
+              simulate(inst, plan, rng, SimConfig(
+                  mode=ONLINE, rescheduler=make_rescheduler(2)))]
+    _, obj = label_static_obj(inst, chrom, rng,
+                              PlannerConfig(label_reps=label_reps))
+    return traces, obj
 
 
-def _run_or_refuse(inst, tmp):
-    """The spoiled instance through its file and a tiny run; False when
-    it is refused by name."""
+def _run_or_refuse(inst, tmp, label_reps=1):
+    """The spoiled instance through its file, one label and a tiny run;
+    False when it is refused by name."""
     path = tmp / "inst.txt"
     path.write_text(dump_instance(inst))
     try:
         inst = require_valid(parse_instance(path.read_text()))
-        traces = _traces(inst)
+        traces, label_obj = _runs(inst, label_reps)
         results, report = run_experiment(ExperimentConfig(
             instance_path=str(path), pop_size=2, max_iter=2, n_rounds=1,
-            label_reps=1, seeds=(0,), jobs=1, outdir=str(tmp / "run")))
+            label_reps=label_reps, seeds=(0,), jobs=1,
+            outdir=str(tmp / "run")))
     except (InvalidInstanceError, FormatError):
         return False
     for tr in traces:
         assert check_feasibility(inst, tr) == []
+    assert all(math.isfinite(x) for x in label_obj)
     assert all(math.isfinite(x) for rows in results.values()
                for _, cmax, cost, _ in rows for x in (cmax, cost))
     per_seed, aggregate = load_report(report)
@@ -118,3 +125,19 @@ def test_each_field_runs_or_is_refused_by_name_at_every_edge(tmp_path):
             tmp.mkdir()
             accepted += _run_or_refuse(inst, tmp)
     assert accepted
+
+
+def test_a_label_past_the_float_range_is_refused_by_name(tmp_path):
+    """Job 0 near the largest float on one of its machines: a single run
+    stays finite, and so does a label of one replication, but two
+    replications sum past the float range and are refused by name."""
+    accepted = {1: 0, 2: 0}
+    slots = [s for s in _slots() if s[:2] == ("nominal", 0)]
+    for n, slot in enumerate(slots):
+        for reps in accepted:
+            inst = generate_instance(N_JOBS, 0)
+            _spoil(inst, [(slot, 1.7e308)])
+            tmp = tmp_path / ("%d-%d" % (n, reps))
+            tmp.mkdir()
+            accepted[reps] += _run_or_refuse(inst, tmp, label_reps=reps)
+    assert accepted[1] == len(slots) > accepted[2]

@@ -1,7 +1,7 @@
 """A generation labelled over several processes equals one labelled in one.
 
-planner.label_all splits a batch of labels into contiguous shares and
-forks a helper per share after the first.  A label is a pure function of
+planner.label_all splits a batch of labels into contiguous shares, and
+planner.fan_out forks a helper per share after the first.  A label is a pure function of
 its inputs, so populations, histories, counters, kept job keys, archives
 and every file of a run must not depend on how many CPUs there are.
 Errors come back from helpers in chromosome order, no helper outlives
@@ -10,7 +10,6 @@ the CPU count through planner.usable_cpus, and let labels of any length
 go to helpers through planner.HELPER_MIN_S.
 """
 
-import multiprocessing
 import os
 import threading
 
@@ -23,22 +22,6 @@ from reworkopt.instances import generate_instance
 from reworkopt.model import IncapableMachineError, InvalidInstanceError
 from reworkopt.rng import NS_ENV, NS_INIT, NS_JOB, NS_LABEL, RngStream
 from reworkopt.simulate import idle_space_count
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids of the helpers forked, in order; the real fork runs."""
-    pids = []
-    fork = os.fork
-
-    def counted():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return pids
 
 
 def _cpus(monkeypatch, n):
@@ -173,7 +156,7 @@ def test_a_helper_that_sends_nothing_is_a_named_error(monkeypatch, forks):
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(planner.pickle, "dumps", dumps)
     inst, chroms = _fragile()
-    with pytest.raises(ChildProcessError, match="exited without labels"):
+    with pytest.raises(ChildProcessError, match="exited without results"):
         planner.label_all(inst, chroms, RngStream.from_seed(1),
                           planner.PlannerConfig(label_reps=2))
     assert len(forks) == 1
@@ -193,11 +176,6 @@ def test_the_callers_own_error_reaps_every_helper(monkeypatch, forks):
 
 
 # -- one process where required ------------------------------------------
-
-def _in_a_pool_worker(monkeypatch):
-    _cpus(monkeypatch, 2)
-    monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
-
 
 def _on_one_cpu(monkeypatch):
     monkeypatch.setattr(planner, "HELPER_MIN_S", 0.0)
@@ -229,8 +207,8 @@ def second_thread():
     assert not thread.is_alive()
 
 
-@pytest.mark.parametrize("case", [_in_a_pool_worker, _on_one_cpu,
-                                  _without_fork, _with_short_labels])
+@pytest.mark.parametrize("case", [_on_one_cpu, _without_fork,
+                                  _with_short_labels])
 def test_a_batch_stays_in_one_process_where_it_must(monkeypatch, case):
     inst, chroms = _fragile()
     master = RngStream.from_seed(1)
@@ -242,6 +220,26 @@ def test_a_batch_stays_in_one_process_where_it_must(monkeypatch, case):
         monkeypatch.setattr(os, "fork", _refuse)
     assert planner.label_all(inst, chroms, master, cfg) == expected
     assert cfg.counter == [2 * len(chroms)]
+
+
+def test_a_seed_helper_labels_in_its_own_process(monkeypatch, forks,
+                                                 tmp_path):
+    # two seeds on two CPUs: a helper per seed, whose siblings hold the
+    # other CPUs; a helper's fork would come back as its seed's error
+    _cpus(monkeypatch, 2)
+    caller, fork = os.getpid(), os.fork
+
+    def in_the_caller_only():
+        assert os.getpid() == caller, "a seed helper forked"
+        return fork()
+
+    monkeypatch.setattr(os, "fork", in_the_caller_only)
+    cfg = ExperimentConfig(n_jobs=12, gen_seed=2, pop_size=5, max_iter=2,
+                           n_rounds=1, label_reps=2, seeds=(3, 4), jobs=2,
+                           outdir=str(tmp_path / "run"))
+    assert sorted(run_experiment(cfg)[0]) == [3, 4]
+    assert len(forks) == 2
+    _no_child_left()
 
 
 def test_a_batch_stays_in_one_process_while_a_thread_runs(
