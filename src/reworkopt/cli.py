@@ -159,8 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--det", action="store_true",
                    help="mean-value dynamics (debugging)")
     r.add_argument("--jobs", type=int,
-                   help="concurrent seeds; with one worker, each generation "
-                        "is labelled on all usable CPUs")
+                   help="processes for the seeds, at most (see "
+                        "planner.fan_out)")
     r.add_argument("--reference", dest="reference_path",
                    help="archive file used as reference front")
     r.add_argument("--out", dest="outdir", required=True)

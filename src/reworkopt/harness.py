@@ -3,9 +3,8 @@
 Runs the optimizer over a list of seeds, persists one directory per
 seed (manifest, archive, summary) and an aggregate indicator report.
 Outputs carry no timestamps, so identical configs rerun to identical
-bytes.  No two seeds share a file: they run in helpers that
-planner.fan_out forks, one per worker (``jobs``), each labelling in one
-process; with one worker, the caller runs them and spreads its labels.
+bytes.  No two seeds share a file.  planner.fan_out places the seeds
+on at most ``jobs`` processes; its docstring states the rule.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from .instances import GENERATOR_DEFAULTS, generate_instance
 from .metrics import bounds_of, hypervolume, igd, normalize, rpd
 from .model import InvalidOptionError, front_insert
 from .orchestrator import DpeiaConfig, carry, dpeia
-from .planner import fan_out, usable_cpus
+from .planner import fan_out
 
 
 @dataclass
@@ -49,8 +48,7 @@ class ExperimentConfig:
     det: bool = DpeiaConfig.det
     seeds: tuple[int, ...] = (0,)
     outdir: str = "runs"
-    # concurrent seeds; with one worker, each generation is labelled on
-    # all usable CPUs
+    # processes for the seeds, at most (planner.fan_out places them)
     jobs: int = 1
     reference_path: str | None = None   # archive file with reference points
 
@@ -245,12 +243,9 @@ def run_experiment(cfg: ExperimentConfig):
     storage.ensure_dir(cfg.outdir)
     if cfg.instance_path is None:
         storage.save_instance(inst, os.path.join(cfg.outdir, "instance.txt"))
-    # one helper per share of the seeds (planner.fan_out), no more than
-    # there are seeds or CPUs; the caller runs none itself, so no helper
-    # inherits a seed's memory, and a seed helper labels in one process
-    workers = min(cfg.jobs, len(cfg.seeds), usable_cpus())
+    # the caller runs no seed, so no helper inherits a seed's memory
     results = dict(fan_out(lambda s: _run_one_seed(inst, cfg, s), cfg.seeds,
-                           workers, own_share=False))
+                           cfg.jobs, own_share=False))
     per_seed_points = {s: [(r[1], r[2]) for r in rows]
                        for s, rows in results.items()}
     report_path = write_aggregate_report(cfg.outdir, per_seed_points, reference)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 from .encoding import Chromosome, GeneBounds, decode, random_chromosome
 from .improver import deviation, make_rescheduler
 from .model import (InvalidOptionError, ObjectivePair, ProblemInstance,
-                    front_insert)
+                    front_insert, require_valid)
 from .planner import Individual, PlannerConfig, plan
 from .rng import NS_INIT, NS_ONLINE, RngStream
 from .simulate import (ONLINE, SimConfig, fitness_eval, idle_space_count,
@@ -160,6 +160,7 @@ def _execute(inst: ProblemInstance, chrom: Chromosome, root: RngStream,
 
 
 def dpeia(inst: ProblemInstance, cfg: DpeiaConfig, seed: int) -> DpeiaResult:
+    require_valid(inst)
     master = RngStream.from_seed(seed)
     counter = [0]
     idle_types = (cfg.idle_types if cfg.idle_types is not None
@@ -196,6 +197,7 @@ def random_search(inst: ProblemInstance, cfg: DpeiaConfig, seed: int,
     """Equal-budget baseline: online-evaluate random chromosomes until
     the simulator-call budget is spent.  Uses the same rescheduling
     budget a late round would get."""
+    require_valid(inst)
     master = RngStream.from_seed(seed)
     counter = [0]
     idle_types = (cfg.idle_types if cfg.idle_types is not None

@@ -10,18 +10,13 @@ the incumbent best and the leaders of the population's own cost-level
 front always retained.
 
 Labels are most of the work.  A generation's chromosomes are built
-first and labelled in one batch (``label_all``), split over the CPUs
-this process may run on by ``fan_out``, which also spreads the seeds of
-``harness.run_experiment``: the caller labels the first share, and a
-helper forked for the batch labels each other share and pipes its
-labels back.  Nothing persists between batches.  Where a label runs
-cannot change it: a label is a pure function of instance, chromosome,
-master stream and config, and a helper reads the caller's shared-draw
-tables, which only memoise values.  A batch stays in one process where
-forking is unavailable or unsafe, in a process fan_out forked (a seed
-helper, whose siblings hold the other CPUs), where ``label_static_obj``
-is wrapped, so that the wrapper sees every label, and where the batch's
-first label shows the others too short to repay a helper.
+first and labelled in one batch (``label_all``), which ``fan_out``
+places on processes as it places the seeds of
+``harness.run_experiment``; its docstring states the rule.  Nothing
+persists between batches.  Where a label runs cannot change it: a label
+is a pure function of instance, chromosome, master stream and config,
+and a helper reads the caller's shared-draw tables, which only memoise
+values.
 """
 
 from __future__ import annotations
@@ -118,56 +113,55 @@ def usable_cpus() -> int:
 HELPER_MIN_S = 0.01
 
 
-def _label_procs(n: int, per_label: float) -> int:
-    """Processes n labels of per_label seconds each run on: one per usable
-    CPU, as long as each share takes HELPER_MIN_S, but one in a process
-    fan_out forked (a seed helper of harness.run_experiment, whose
-    siblings hold the other CPUs) and where label_static_obj is wrapped."""
-    if _in_helper or label_static_obj is not _OWN_LABEL:
-        return 1
-    procs = min(n, usable_cpus())
-    while procs > 1 and n * per_label < procs * HELPER_MIN_S:
-        procs -= 1
-    return procs
-
-
 def label_all(inst: ProblemInstance, chroms: list[Chromosome],
               master: RngStream, cfg: PlannerConfig
               ) -> list[tuple[float, tuple[float, float]]]:
-    """label_static_obj of each chromosome, in order, counted here.
-
-    The caller labels the first chromosome and times it, then fans the
-    rest out over _label_procs processes, labelling the first share
-    itself (fan_out).
-    """
+    """label_static_obj of each chromosome, in order, counted here and
+    computed by fan_out; all in this process where label_static_obj is
+    wrapped, so that the wrapper sees every label."""
     cfg.counter[0] += cfg.label_reps * len(chroms)
-    start = time.perf_counter()
-    out = [label_static_obj(inst, ch, master, cfg) for ch in chroms[:1]]
-    procs = _label_procs(len(chroms) - 1, time.perf_counter() - start)
-    return out + fan_out(lambda ch: label_static_obj(inst, ch, master, cfg),
-                         chroms[1:], procs)
+    return fan_out(lambda ch: label_static_obj(inst, ch, master, cfg), chroms,
+                   len(chroms) if label_static_obj is _OWN_LABEL else 1)
 
 
-def fan_out(fn, items, procs: int, own_share: bool = True) -> list:
-    """[fn(x) for x in items], over procs processes.
+def fan_out(fn, items, width: int, own_share: bool = True) -> list:
+    """[fn(x) for x in items], over at most width processes.
 
-    items are cut into procs contiguous shares.  The caller computes the
-    first share if own_share is set; a helper forked here computes every
-    other share and pipes back its pickled results, or the error that
-    stopped it.  Every helper is reaped before this returns or raises,
-    and the first error in item order is raised.  The caller computes
-    every item where procs is below 2 or forking is unavailable or unsafe.
+    This is where every batch is placed.  width is capped by the number
+    of items and by usable_cpus().  The caller computes every item in a
+    process fan_out forked (a seed helper, whose siblings hold the other
+    CPUs), where os.fork is missing, while another thread is alive, and
+    where fewer than two processes would run.  Otherwise items are cut
+    into width contiguous shares, and a helper forked here computes each
+    share but the caller's own.  With own_share set, the caller first
+    computes and times items[0], then keeps only as many processes as
+    give each share of the rest at least HELPER_MIN_S, and computes the
+    first share itself; without it, the caller computes no item.  A
+    helper pipes back its pickled results, or the error that stopped it.
+    Every helper is reaped before this returns or raises, and the first
+    error in item order is raised.
     """
-    if procs < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    width = min(width, len(items), usable_cpus())
+    if (_in_helper or width < 2 or not hasattr(os, "fork")
+            or threading.active_count() > 1):
         return [fn(x) for x in items]
-    cut = [len(items) * k // procs for k in range(procs + 1)]
+    out = []
+    if own_share:
+        start = time.perf_counter()
+        out.append(fn(items[0]))
+        per_item = time.perf_counter() - start
+        items = items[1:]
+        width = min(width, len(items))
+        while width > 1 and len(items) * per_item < width * HELPER_MIN_S:
+            width -= 1
+    cut = [len(items) * k // width for k in range(width + 1)]
     shares = [items[a:b] for a, b in zip(cut, cut[1:])]
     mine = shares.pop(0) if own_share else []
     helpers: list = []
     try:
         for share in shares:
             helpers.append(_fork(fn, share))
-        out = [fn(x) for x in mine]
+        out += [fn(x) for x in mine]
         for pid, fh in helpers:
             data = fh.read()
             if not data:

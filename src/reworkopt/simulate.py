@@ -283,6 +283,9 @@ class _Sim:
         mp = self.machines[mid]
         self._log_cm(mid, at, st.w)
         corrective_maintenance(st, mp)
+        if st.w > mp.cap:               # it would be due again at once
+            raise InvalidInstanceError(
+                [f"machine {mid}: initial wear {mp.w0} outside [0, cap)"])
         st.ready = at + mp.t_cm
         st.maint_acc += mp.t_cm
 

@@ -9,6 +9,7 @@ twice produces the same bytes.  Nothing here records wall-clock time.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import fields
 
@@ -186,6 +187,8 @@ def save_archive(rows, path) -> None:
 
 
 def parse_archive(text: str, path="<string>"):
+    """Read archive rows; a malformed row or a point that is not finite
+    raises FormatError."""
     lines = text.splitlines()
     _check_tag(lines, ARCHIVE_TAG, path)
     if len(lines) < 2 or lines[1] != ARCHIVE_HEADER:
@@ -194,8 +197,16 @@ def parse_archive(text: str, path="<string>"):
     for raw in lines[2:]:
         if not raw.strip():
             continue
-        seed, cmax, cost, digest = raw.split("\t")
-        rows.append((int(seed), float(cmax), float(cost), digest))
+        try:
+            seed, cmax, cost, digest = raw.split("\t")
+            row = (int(seed), float(cmax), float(cost), digest)
+        except ValueError as exc:
+            raise FormatError("%s: malformed archive row %r: %s"
+                              % (path, raw, exc)) from exc
+        if not (math.isfinite(row[1]) and math.isfinite(row[2])):
+            raise FormatError("%s: archive point is not finite: %r"
+                              % (path, raw))
+        rows.append(row)
     return rows
 
 

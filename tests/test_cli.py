@@ -248,6 +248,43 @@ def test_an_empty_reference_front_is_a_one_line_error(tmp_path, capsys):
         assert not list(tmp_path.glob("**/report.txt"))
 
 
+_ARCHIVE_HEAD = ARCHIVE_TAG + "\nseed\tc_max\tmaint_cost\tdigest\n"
+
+
+@pytest.mark.parametrize("row,why", [
+    ("0\t1.0\t2.0\n", "malformed archive row"),
+    ("0\t1.0\t2.0\tff\textra\n", "malformed archive row"),
+    ("0\tabc\t2.0\tff\n", "malformed archive row"),
+    ("0\tnan\t2.0\tff\n", "not finite"),
+    ("0\t1.0\tinf\tff\n", "not finite"),
+], ids=["short", "long", "word", "nan", "inf"])
+def test_a_malformed_archive_file_is_a_one_line_error(tmp_path, capsys, row,
+                                                      why):
+    """A bad row or a point that is not finite, in a reference file or
+    in a seed's archive, is refused by file name before a report is
+    written."""
+    good = tmp_path / "good"
+    (good / "seed-0").mkdir(parents=True)
+    save_archive([(0, 1.0, 2.0, "ff")], good / "seed-0" / "archive.tsv")
+    bad = tmp_path / "bad"
+    (bad / "seed-0").mkdir(parents=True)
+    (bad / "seed-0" / "archive.tsv").write_text(_ARCHIVE_HEAD + row)
+    reference = tmp_path / "reference.tsv"
+    reference.write_text(_ARCHIVE_HEAD + row)
+    for argv, named in (
+            (["report", "--run-dir", str(good), "--reference", str(reference)],
+             reference),
+            (["report", "--run-dir", str(bad)], bad / "seed-0" / "archive.tsv"),
+            (["pareto", "--run-dir", str(bad), "--out", str(tmp_path / "p")],
+             bad / "seed-0" / "archive.tsv")):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("reworkopt: %s: " % named)
+        assert why in err and err.count("\n") == 1
+    assert not list(tmp_path.glob("**/report.txt"))
+    assert not (tmp_path / "p").exists()
+
+
 def test_a_run_refuses_an_instance_file_without_jobs(tmp_path, capsys):
     empty = toy_instance(0)
     path = tmp_path / "empty.txt"

@@ -1,6 +1,11 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+
+import reworkopt
 
 from reworkopt.encoding import Chromosome
 from reworkopt.instances import generate_instance, toy_instance
@@ -210,3 +215,43 @@ def test_an_all_online_round_plans_from_the_initial_population():
     assert res.rounds_log == [
         {"round": 1, "plan_iters": 0, "online_iters": 3, "archive_size": 1,
          "elites": ["783cfe0980304576", "6838b4f165800413"]}]
+
+
+_WORN_OUT = """\
+from reworkopt.encoding import decode, random_chromosome
+from reworkopt.instances import generate_instance
+from reworkopt.model import InvalidInstanceError
+from reworkopt.orchestrator import DpeiaConfig, dpeia, random_search
+from reworkopt.rng import RngStream
+from reworkopt.simulate import ONLINE, STATIC, SimConfig, simulate
+inst = generate_instance(10, 0)
+inst.machines[0].w0 = 0.99
+cfg = DpeiaConfig(pop_size=4, max_iter=2, n_rounds=1)
+ch = random_chromosome(inst, (), RngStream.from_seed(0))
+try:
+    %s
+except InvalidInstanceError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("call", [
+    "dpeia(inst, cfg, 0)",
+    "random_search(inst, cfg, 0, 10)",
+    "simulate(inst, decode(ch, inst), RngStream.from_seed(1), "
+    "SimConfig(mode=STATIC))",
+    "simulate(inst, decode(ch, inst), RngStream.from_seed(1), "
+    "SimConfig(mode=ONLINE))",
+], ids=["dpeia", "random_search", "static", "online"])
+def test_a_machine_worn_past_its_cap_after_repair_is_refused(call):
+    """Machine 0 restarts above its cap after every repair, so each due
+    step would repair it again: the run must end in the validator's
+    error, not loop.  It runs in a child process, so a loop fails this
+    test by timing out instead of hanging the suite."""
+    src = os.path.dirname(os.path.dirname(reworkopt.__file__))
+    proc = subprocess.run([sys.executable, "-c", _WORN_OUT % call],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert ("machine 0: initial wear 0.99 outside [0, cap)"
+            in proc.stdout), proc.stdout
